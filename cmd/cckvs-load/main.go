@@ -119,33 +119,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *putFrac >= 0 {
 		*writes = *putFrac
 	}
+	vo := verifyOpts{
+		nodes: nodes, keys: *keys, verifyKeys: *verKeys, rounds: *verRounds,
+		hotset: *hotset, shift: *refShift, chaosDown: *chaosDown, replicas: *replicas,
+	}
+	if vo.shift == 0 {
+		vo.shift = *hotset / 4
+	}
+	if *chaosDown >= 0 {
+		// Chaos runs exercise the view-change concurrency, not the epoch
+		// change; a refresh mid-check would also try to move dead-homed
+		// keys (a no-op by design, but it muddies the assertion).
+		vo.shift = 0
+	}
+	var checked []uint64
+	if *verify {
+		checked = vo.checkedKeys()
+	}
 	shifted, code := runWorkload(cl, workloadOpts{
 		nodes: nodes, keys: *keys, alpha: *alpha, writes: *writes, rmwFrac: *rmwFrac,
 		ops: *ops, clients: *clients, batch: *batch, valSize: *valSize,
 		hotset: *hotset, refreshAt: *refreshAt, refShift: *refShift,
 		chaosDown: *chaosDown, chaosPid: *chaosPid, chaosAt: *chaosAt,
-		replicas: *replicas,
+		replicas: *replicas, readOnly: keySet(checked),
 	}, stdout, stderr)
 	if code != 0 {
 		return code
 	}
 
 	if *verify {
-		shift := *refShift
-		if shift == 0 {
-			shift = *hotset / 4
-		}
-		if *chaosDown >= 0 {
-			// Chaos runs exercise the view-change concurrency, not the epoch
-			// change; a refresh mid-check would also try to move dead-homed
-			// keys (a no-op by design, but it muddies the assertion).
-			shift = 0
-		}
-		if err := runVerify(cl, verifyOpts{
-			nodes: nodes, keys: *keys, verifyKeys: *verKeys, rounds: *verRounds,
-			hotset: *hotset, shift: shift, workloadShifted: shifted,
-			chaosDown: *chaosDown, replicas: *replicas,
-		}, stdout); err != nil {
+		vo.workloadShifted = shifted
+		if err := runVerify(cl, vo, checked, stdout); err != nil {
 			fmt.Fprintf(stderr, "consistency check FAILED: %v\n", err)
 			return 1
 		}
@@ -185,6 +189,36 @@ type workloadOpts struct {
 	// replicas mirrors the deployment's -replicas; it flips the chaos
 	// checker's failure model (see chaosState.replicated).
 	replicas int
+	// readOnly holds the consistency check's keys; the workload only reads
+	// them (see clientOp).
+	readOnly map[uint64]bool
+}
+
+// keySet returns keys as a set.
+func keySet(keys []uint64) map[uint64]bool {
+	set := make(map[uint64]bool, len(keys))
+	for _, k := range keys {
+		set[k] = true
+	}
+	return set
+}
+
+// clientOp maps a generated operation onto the client surface. Writes to
+// readOnly keys become gets: SC has no real-time order across sessions, so
+// a workload put still in flight when the consistency check writes the same
+// key could win the Lamport tie and overwrite the check's final value.
+func clientOp(op workload.Op, readOnly map[uint64]bool) cluster.Op {
+	b := cluster.Op{Key: op.Key}
+	if readOnly[op.Key] {
+		return b
+	}
+	switch op.Type {
+	case workload.Put:
+		b.Kind, b.Value = cluster.OpPut, op.Value
+	case workload.FAA:
+		b.Kind, b.Delta = cluster.OpFAA, op.Delta
+	}
+	return b
 }
 
 // chaosState tracks the kill: clients reroute around the downed node and
@@ -344,7 +378,7 @@ func runWorkload(cl *cluster.Client, o workloadOpts, stdout, stderr io.Writer) (
 				return
 			}
 			for i := 0; i < o.ops; i++ {
-				op := g.Next()
+				op := clientOp(g.Next(), o.readOnly)
 				for attempt := 0; ; attempt++ {
 					// Round-robin load balancing; chaos mode skips downed nodes.
 					node := (id + i + attempt) % o.nodes
@@ -353,10 +387,10 @@ func runWorkload(cl *cluster.Client, o workloadOpts, stdout, stderr io.Writer) (
 					}
 					t0 := time.Now()
 					var err error
-					switch op.Type {
-					case workload.Put:
+					switch op.Kind {
+					case cluster.OpPut:
 						err = cl.Put(node, op.Key, op.Value)
-					case workload.FAA:
+					case cluster.OpFAA:
 						// A missing key reads as counter 0, so no NotFound
 						// tolerance is needed on the RMW path.
 						_, err = cl.FetchAndAdd(node, op.Key, op.Delta)
@@ -474,17 +508,11 @@ func runBatchedClient(cl *cluster.Client, g *workload.Generator, o workloadOpts,
 		m := min(o.batch, o.ops-i)
 		buf = buf[:0]
 		for j := 0; j < m; j++ {
-			op := g.Next()
-			b := cluster.Op{Key: op.Key}
-			switch op.Type {
-			case workload.Put:
-				b.Kind = cluster.OpPut
+			b := clientOp(g.Next(), o.readOnly)
+			if b.Kind == cluster.OpPut {
 				// The generator reuses its value buffer across Next calls;
 				// the frame holds all m values at once.
-				b.Value = append([]byte(nil), op.Value...)
-			case workload.FAA:
-				b.Kind = cluster.OpFAA
-				b.Delta = op.Delta
+				b.Value = append([]byte(nil), b.Value...)
 			}
 			buf = append(buf, b)
 		}
@@ -579,22 +607,15 @@ func (o verifyOpts) liveNodes() []int {
 	return live
 }
 
-// runVerify is the lost/stale-read detector: one writer per key issues a
-// strictly increasing sequence of tagged values through a fixed node while
-// one reader per node concurrently checks that the sequence it observes
-// never goes backwards; half-way through, an online hot-set refresh runs
-// under the checked traffic. Afterwards every node must converge to every
-// key's final value. Any regression, mismatch, non-convergence or lost
-// final write fails the run.
-func runVerify(cl *cluster.Client, o verifyOpts, stdout io.Writer) error {
-	// Half the checked keys from the hot window (cache protocol paths), half
-	// cold (remote-access paths). With no (or a small) hot set the cold side
-	// takes up the slack — the keys must be distinct, or two writers would
-	// race one key and fake a stale read. In chaos mode the cold keys must be
-	// homed on survivors (dead-homed cold keys correctly fail fast and cannot
-	// be checked); dead-homed HOT keys stay in — the symmetric cache serves
-	// them through the node death, and that is exactly what gets verified.
-	live := o.liveNodes()
+// checkedKeys picks the consistency check's keys: half from the hot window
+// (cache protocol paths), half cold (remote-access paths). With no (or a
+// small) hot set the cold side takes up the slack — the keys must be
+// distinct, or two writers would race one key and fake a stale read. In
+// chaos mode the cold keys must be homed on survivors (dead-homed cold keys
+// correctly fail fast and cannot be checked); dead-homed HOT keys stay in —
+// the symmetric cache serves them through the node death, and that is
+// exactly what gets verified.
+func (o verifyOpts) checkedKeys() []uint64 {
 	var keys []uint64
 	hot := min(o.verifyKeys/2, o.hotset)
 	for i := 0; i < hot; i++ {
@@ -606,6 +627,19 @@ func runVerify(cl *cluster.Client, o verifyOpts, stdout io.Writer) error {
 		}
 		keys = append(keys, k)
 	}
+	return keys
+}
+
+// runVerify is the lost/stale-read detector over keys (checkedKeys, which
+// the workload never wrote): one writer per key issues a strictly
+// increasing sequence of tagged values through a fixed node while one
+// reader per node concurrently checks that the sequence it observes never
+// goes backwards; half-way through, an online hot-set refresh runs under
+// the checked traffic. Afterwards every node must converge to every key's
+// final value. Any regression, mismatch, non-convergence or lost final
+// write fails the run.
+func runVerify(cl *cluster.Client, o verifyOpts, keys []uint64, stdout io.Writer) error {
+	live := o.liveNodes()
 
 	var (
 		halfway      = make(chan struct{})

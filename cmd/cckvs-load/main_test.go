@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/workload"
 )
 
 func exec(t *testing.T, args ...string) (int, string, string) {
@@ -142,5 +143,41 @@ func TestLoadHitRateFloorEnforced(t *testing.T) {
 	)
 	if code != 1 || !strings.Contains(errb, "below required") {
 		t.Fatalf("code=%d stderr=%q, want floor violation", code, errb)
+	}
+}
+
+// Under SC a workload write still in flight when the consistency check
+// writes the same key can win the Lamport tie, so the workload must never
+// write a checked key — on the single-op and the batched path alike (both
+// build their ops with clientOp). The generated stream is deterministic and
+// skewed onto the hot checked keys, so it does propose such writes.
+func TestWorkloadNeverWritesCheckedKeys(t *testing.T) {
+	vo := verifyOpts{nodes: 2, keys: 1024, verifyKeys: 8, hotset: 2, chaosDown: -1, replicas: 1}
+	checked := vo.checkedKeys()
+	if len(checked) != 8 {
+		t.Fatalf("checked keys %v, want 8", checked)
+	}
+	readOnly := keySet(checked)
+	gen, err := workload.New(workload.Config{
+		NumKeys: vo.keys, Alpha: 0.99, WriteRatio: 0.5, RMWFrac: 0.1, ValueSize: 16, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proposed := 0
+	for c := uint64(0); c < 4; c++ {
+		g := gen.Clone(c)
+		for i := 0; i < 5000; i++ {
+			op := g.Next()
+			if readOnly[op.Key] && op.Type != workload.Get {
+				proposed++
+			}
+			if b := clientOp(op, readOnly); readOnly[b.Key] && b.EffectiveKind() != cluster.OpGet {
+				t.Fatalf("workload %v to checked key %d", b.EffectiveKind(), b.Key)
+			}
+		}
+	}
+	if proposed == 0 {
+		t.Fatal("the generator proposed no writes to checked keys; the test checks nothing")
 	}
 }

@@ -20,11 +20,12 @@ import (
 // matched to its caller by request id, so a single TCP connection per server
 // carries the whole process's traffic.
 //
-// The connection is pipelined: up to SetPipelineWindow in-flight requests per
-// server ride the wire concurrently (callers block for a window slot beyond
-// that). Batch/MultiGet/MultiPut pack many operations into one v2 frame, and
-// SetAutoBatch transparently coalesces concurrent Get/Put callers into such
-// frames — the client edge's version of the fabric's request coalescing.
+// The connection is pipelined: up to WithPipelineWindow in-flight requests
+// per server ride the wire concurrently (callers block for a window slot
+// beyond that). Batch/MultiGet/MultiPut pack many operations into one v2
+// frame, and WithAutoBatch transparently coalesces concurrent Get/Put callers
+// into such frames — the client edge's version of the fabric's request
+// coalescing.
 type Client struct {
 	id      uint8
 	tr      fabric.Transport
@@ -41,8 +42,9 @@ type Client struct {
 	winCh []chan struct{}
 
 	nextID atomic.Uint64
-	// ab, when non-nil, routes Get/Put through per-node auto-batchers.
-	ab atomic.Pointer[autoBatchState]
+	// ab, when non-nil, routes Get/Put through per-node auto-batchers
+	// (WithAutoBatch); set once at construction.
+	ab []*autoBatch
 
 	mu     sync.Mutex
 	closed bool
@@ -108,7 +110,7 @@ const defaultPipelineWindow = 256
 var sessChPool = sync.Pool{New: func() any { return make(chan sessResult, 1) }}
 
 // abChPool recycles the auto-batcher's per-op completion channels.
-var abChPool = sync.Pool{New: func() any { return make(chan BatchResult, 1) }}
+var abChPool = sync.Pool{New: func() any { return make(chan Result, 1) }}
 
 // timerPool recycles timeout timers across calls; pooled timers are always
 // stopped and drained.
@@ -126,7 +128,12 @@ type ClientOption func(*Client)
 // WithPipelineWindow bounds the in-flight requests per server connection
 // (default 256): callers beyond the window block until a slot frees.
 func WithPipelineWindow(w int) ClientOption {
-	return func(cl *Client) { cl.setPipelineWindow(w) }
+	return func(cl *Client) {
+		w = max(w, 1)
+		for i := range cl.winCh {
+			cl.winCh[i] = make(chan struct{}, w)
+		}
+	}
 }
 
 // WithAutoBatch routes the client's Get/Put calls through per-node
@@ -195,56 +202,30 @@ func DialTCP(id uint8, peers []string, opts ...ClientOption) (*Client, error) {
 // SetTimeout bounds each call (default 10s).
 func (cl *Client) SetTimeout(d time.Duration) { cl.timeout = d }
 
-// SetPipelineWindow resizes the pipelining window after construction.
-//
-// Deprecated: pass WithPipelineWindow to NewClient/DialTCP — resizing a live
-// client does not migrate slots held by in-flight requests.
-func (cl *Client) SetPipelineWindow(w int) { cl.setPipelineWindow(w) }
-
-func (cl *Client) setPipelineWindow(w int) {
-	if w < 1 {
-		w = 1
-	}
-	for i := range cl.winCh {
-		cl.winCh[i] = make(chan struct{}, w)
-	}
-}
-
-// SetAutoBatch reconfigures auto-batching after construction. maxOps <= 1
-// disables it (any buffered operations are flushed).
-//
-// Deprecated: pass WithAutoBatch to NewClient/DialTCP; keep SetAutoBatch for
-// the disable case or mid-life reconfiguration.
-func (cl *Client) SetAutoBatch(maxOps int, maxDelay time.Duration) {
-	cl.setAutoBatch(maxOps, maxDelay)
-}
-
 func (cl *Client) setAutoBatch(maxOps int, maxDelay time.Duration) {
-	var next *autoBatchState
-	if maxOps > 1 {
-		if maxDelay <= 0 {
-			maxDelay = 200 * time.Microsecond
-		}
-		if maxOps > sessBatchMaxOps {
-			maxOps = sessBatchMaxOps
-		}
-		floor := maxDelay / 16
-		if floor < time.Microsecond {
-			floor = time.Microsecond
-		}
-		if floor > maxDelay {
-			floor = maxDelay
-		}
-		next = &autoBatchState{per: make([]*autoBatch, cl.nodes)}
-		for i := range next.per {
-			a := &autoBatch{cl: cl, node: uint8(i), maxOps: maxOps, delay: maxDelay, floor: floor}
-			a.timer = time.AfterFunc(time.Hour, a.flushTimed)
-			a.timer.Stop()
-			next.per[i] = a
-		}
+	if maxOps <= 1 {
+		cl.ab = nil
+		return
 	}
-	if old := cl.ab.Swap(next); old != nil {
-		old.flush()
+	if maxDelay <= 0 {
+		maxDelay = 200 * time.Microsecond
+	}
+	if maxOps > sessBatchMaxOps {
+		maxOps = sessBatchMaxOps
+	}
+	floor := maxDelay / 16
+	if floor < time.Microsecond {
+		floor = time.Microsecond
+	}
+	if floor > maxDelay {
+		floor = maxDelay
+	}
+	cl.ab = make([]*autoBatch, cl.nodes)
+	for i := range cl.ab {
+		a := &autoBatch{cl: cl, node: uint8(i), maxOps: maxOps, delay: maxDelay, floor: floor}
+		a.timer = time.AfterFunc(time.Hour, a.flushTimed)
+		a.timer.Stop()
+		cl.ab[i] = a
 	}
 }
 
@@ -270,8 +251,8 @@ func (cl *Client) Close() error {
 	}
 	// Flush after the closed flag is visible: the flush's batch calls fail
 	// fast with ErrClientClosed, completing every buffered operation.
-	if st := cl.ab.Load(); st != nil {
-		st.flush()
+	for _, a := range cl.ab {
+		a.flushTimed()
 	}
 	if cl.owns {
 		return cl.tr.Close()
@@ -521,8 +502,8 @@ func (cl *Client) WaitReady(timeout time.Duration) error {
 // Absent keys return store.ErrNotFound. With auto-batching enabled the
 // operation rides a shared batch frame.
 func (cl *Client) Get(node int, key uint64) ([]byte, error) {
-	if st := cl.ab.Load(); st != nil && node >= 0 && node < len(st.per) {
-		r := st.per[node].do(BatchOp{Key: key})
+	if node >= 0 && node < len(cl.ab) {
+		r := cl.ab[node].do(Op{Key: key})
 		return r.Value, r.Err
 	}
 	id := cl.nextID.Add(1)
@@ -558,8 +539,8 @@ func decodeGetValue(node int, payload []byte) ([]byte, error) {
 // Put writes key through node's session layer. With auto-batching enabled
 // the operation rides a shared batch frame.
 func (cl *Client) Put(node int, key uint64, value []byte) error {
-	if st := cl.ab.Load(); st != nil && node >= 0 && node < len(st.per) {
-		return st.per[node].do(BatchOp{Put: true, Key: key, Value: value}).Err
+	if node >= 0 && node < len(cl.ab) {
+		return cl.ab[node].do(Op{Kind: OpPut, Key: key, Value: value}).Err
 	}
 	id := cl.nextID.Add(1)
 	frame, pooled := cl.newFrame(sessHeader + 12 + len(value))
@@ -584,8 +565,8 @@ func (cl *Client) Put(node int, key uint64, value []byte) error {
 // may or may not have applied, and neither the server nor this client will
 // guess by re-running it.
 func (cl *Client) CompareAndSwap(node int, key uint64, expect, newVal []byte) (witness []byte, swapped bool, err error) {
-	if st := cl.ab.Load(); st != nil && node >= 0 && node < len(st.per) {
-		r := st.per[node].do(Op{Kind: OpCAS, Key: key, Expect: expect, Value: newVal})
+	if node >= 0 && node < len(cl.ab) {
+		r := cl.ab[node].do(Op{Kind: OpCAS, Key: key, Expect: expect, Value: newVal})
 		if errors.Is(r.Err, ErrCASMismatch) {
 			return r.Value, false, nil
 		}
@@ -621,8 +602,8 @@ func (cl *Client) CompareAndSwap(node int, key uint64, expect, newVal []byte) (w
 // serialization point: a hot contended counter costs one exchange per op
 // instead of a CAS retry loop over the wire.
 func (cl *Client) FetchAndAdd(node int, key uint64, delta uint64) (old uint64, err error) {
-	if st := cl.ab.Load(); st != nil && node >= 0 && node < len(st.per) {
-		r := st.per[node].do(Op{Kind: OpFAA, Key: key, Delta: delta})
+	if node >= 0 && node < len(cl.ab) {
+		r := cl.ab[node].do(Op{Kind: OpFAA, Key: key, Delta: delta})
 		if r.Err != nil {
 			return 0, r.Err
 		}
@@ -664,7 +645,7 @@ const (
 
 // Op is one operation of the unified client surface: Batch, MultiGet,
 // MultiPut, the RMW calls and the auto-batcher all speak it. Zero value is a
-// get of Key. The legacy Put flag (from the original get/put-only BatchOp)
+// get of Key. The legacy Put flag (from the original get/put-only batch op)
 // is honored when Kind is OpGet — existing callers keep compiling and
 // working unchanged.
 type Op struct {
@@ -736,17 +717,6 @@ func (r *Result) ValueCopy() []byte {
 	return append([]byte(nil), r.Value...)
 }
 
-// BatchOp is the unified Op type's original name.
-//
-// Deprecated: use Op. The alias keeps existing callers compiling (and costs
-// nothing — it is the identical type).
-type BatchOp = Op
-
-// BatchResult is the unified Result type's original name.
-//
-// Deprecated: use Result.
-type BatchResult = Result
-
 // opWireSize returns an op's encoded size as a batch entry.
 func opWireSize(o *Op) int {
 	switch o.kind() {
@@ -791,11 +761,11 @@ func appendBatchEntry(frame []byte, o *Op) []byte {
 // always has len(ops), in request order, with per-op outcomes; the error
 // return reports the first frame-level failure (unreachable node, timeout) —
 // per-op statuses such as an absent key never raise it.
-func (cl *Client) Batch(node int, ops []BatchOp) ([]BatchResult, error) {
+func (cl *Client) Batch(node int, ops []Op) ([]Result, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	rs := make([]BatchResult, len(ops))
+	rs := make([]Result, len(ops))
 	var firstErr error
 	dead := false
 	start := 0
@@ -813,7 +783,7 @@ func (cl *Client) Batch(node int, ops []BatchOp) ([]BatchResult, error) {
 				// immediately instead of burning one full timeout per
 				// remaining chunk against the same dead connection.
 				for j := start; j < i; j++ {
-					rs[j] = BatchResult{Err: firstErr}
+					rs[j] = Result{Err: firstErr}
 				}
 			} else if err := cl.batchChunk(node, ops[start:i], rs[start:i]); err != nil {
 				if firstErr == nil {
@@ -834,7 +804,7 @@ func (cl *Client) Batch(node int, ops []BatchOp) ([]BatchResult, error) {
 // batchChunk sends one batch frame and decodes its results in place. A
 // frame-level failure is both returned and fanned out to every op of the
 // chunk, so callers that only look at per-op results still observe it.
-func (cl *Client) batchChunk(node int, ops []BatchOp, rs []BatchResult) error {
+func (cl *Client) batchChunk(node int, ops []Op, rs []Result) error {
 	id := cl.nextID.Add(1)
 	size := sessHeader + 4
 	for i := range ops {
@@ -861,7 +831,7 @@ func (cl *Client) batchChunk(node int, ops []BatchOp, rs []BatchResult) error {
 		res.lease.release()
 	}
 	for i := range rs {
-		rs[i] = BatchResult{Err: err}
+		rs[i] = Result{Err: err}
 	}
 	return err
 }
@@ -939,7 +909,7 @@ func (cl *Client) decodeBatch(node int, ops []Op, rs []Result, payload []byte, l
 // nil when keys[i] is absent; the first hard failure is returned after the
 // whole batch settled — same contract as Node.MultiGet.
 func (cl *Client) MultiGet(node int, keys []uint64) ([][]byte, error) {
-	ops := make([]BatchOp, len(keys))
+	ops := make([]Op, len(keys))
 	for i, k := range keys {
 		ops[i].Key = k
 	}
@@ -963,9 +933,9 @@ func (cl *Client) MultiGet(node int, keys []uint64) ([][]byte, error) {
 // MultiPut writes keys[i]=values[i] through node in one batched round trip,
 // returning the first failure after the whole batch settled.
 func (cl *Client) MultiPut(node int, keys []uint64, values [][]byte) error {
-	ops := make([]BatchOp, len(keys))
+	ops := make([]Op, len(keys))
 	for i, k := range keys {
-		ops[i] = BatchOp{Put: true, Key: k, Value: values[i]}
+		ops[i] = Op{Kind: OpPut, Key: k, Value: values[i]}
 	}
 	rs, firstErr := cl.Batch(node, ops)
 	for i := range rs {
@@ -974,18 +944,6 @@ func (cl *Client) MultiPut(node int, keys []uint64, values [][]byte) error {
 		}
 	}
 	return firstErr
-}
-
-// autoBatchState is one SetAutoBatch configuration: a batcher per server.
-type autoBatchState struct {
-	per []*autoBatch
-}
-
-// flush forces out whatever every batcher buffered.
-func (st *autoBatchState) flush() {
-	for _, a := range st.per {
-		a.flushTimed()
-	}
 }
 
 // autoBatch coalesces concurrent Get/Put callers toward one server into
@@ -1018,8 +976,8 @@ type autoBatch struct {
 	fill atomic.Int32
 
 	mu    sync.Mutex
-	ops   []BatchOp
-	chs   []chan BatchResult
+	ops   []Op
+	chs   []chan Result
 	timer *time.Timer
 }
 
@@ -1053,8 +1011,8 @@ func (a *autoBatch) noteFill(n int) {
 }
 
 // do enqueues one operation and blocks for its result.
-func (a *autoBatch) do(op BatchOp) BatchResult {
-	ch := abChPool.Get().(chan BatchResult)
+func (a *autoBatch) do(op Op) Result {
+	ch := abChPool.Get().(chan Result)
 	alone := a.inflight.Add(1) == 1
 	a.mu.Lock()
 	a.ops = append(a.ops, op)
@@ -1095,7 +1053,7 @@ func (a *autoBatch) flushIfStranded() {
 }
 
 // takeLocked claims the buffered batch; the caller holds a.mu.
-func (a *autoBatch) takeLocked() ([]BatchOp, []chan BatchResult) {
+func (a *autoBatch) takeLocked() ([]Op, []chan Result) {
 	ops, chs := a.ops, a.chs
 	a.ops, a.chs = nil, nil
 	a.timer.Stop()
@@ -1111,7 +1069,7 @@ func (a *autoBatch) flushTimed() {
 }
 
 // run executes one claimed batch and distributes the per-op results.
-func (a *autoBatch) run(ops []BatchOp, chs []chan BatchResult) {
+func (a *autoBatch) run(ops []Op, chs []chan Result) {
 	if len(ops) == 0 {
 		return
 	}

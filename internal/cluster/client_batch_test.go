@@ -23,7 +23,7 @@ import (
 
 // newChanClient builds a member-form deployment plus a Client on the shared
 // transport.
-func newChanClient(t *testing.T, cfg Config) ([]*Cluster, *Client) {
+func newChanClient(t *testing.T, cfg Config, opts ...ClientOption) ([]*Cluster, *Client) {
 	t.Helper()
 	stats := fabric.NewStats()
 	tr := fabric.NewChanTransport(cfg.QueueDepth, stats)
@@ -36,7 +36,7 @@ func newChanClient(t *testing.T, cfg Config) ([]*Cluster, *Client) {
 		m.Populate()
 		members[i] = m
 	}
-	cl := NewClient(200, cfg.Nodes, tr)
+	cl := NewClient(200, cfg.Nodes, tr, opts...)
 	t.Cleanup(func() {
 		cl.Close()
 		for _, m := range members {
@@ -44,6 +44,15 @@ func newChanClient(t *testing.T, cfg Config) ([]*Cluster, *Client) {
 		}
 	})
 	return members, cl
+}
+
+// newSiblingClient attaches one more client, with fabric id, to the
+// deployment newChanClient built; it closes before the members do.
+func newSiblingClient(t *testing.T, members []*Cluster, id uint8, opts ...ClientOption) *Client {
+	t.Helper()
+	cl := NewClient(id, len(members), members[0].transport, opts...)
+	t.Cleanup(func() { cl.Close() })
+	return cl
 }
 
 func TestClientBatchRoundTrip(t *testing.T) {
@@ -81,7 +90,7 @@ func TestClientBatchSplitsOversizeBatches(t *testing.T) {
 
 	// More ops than one frame may carry: Batch must chunk transparently.
 	n := sessBatchMaxOps + 5
-	ops := make([]BatchOp, n)
+	ops := make([]Op, n)
 	for i := range ops {
 		ops[i].Key = uint64(i % int(cfg.NumKeys))
 	}
@@ -153,7 +162,7 @@ func TestClientBatchMixedStatusesWithHomeDown(t *testing.T) {
 		}
 	}
 
-	ops := []BatchOp{
+	ops := []Op{
 		{Key: liveKey},
 		{Key: deadKey},
 		{Put: true, Key: liveKey, Value: []byte("still-served")},
@@ -185,11 +194,9 @@ func TestClientBatchMixedStatusesWithHomeDown(t *testing.T) {
 
 func TestClientAutoBatchFlushBySize(t *testing.T) {
 	cfg := Config{Nodes: 2, System: Base, NumKeys: 512}
-	_, cl := newChanClient(t, cfg)
-
 	// With a far-future timer, only the size trigger can flush: two
 	// concurrent gets fill a maxOps=2 batch and both complete.
-	cl.SetAutoBatch(2, time.Minute)
+	_, cl := newChanClient(t, cfg, WithAutoBatch(2, time.Minute))
 	done := make(chan error, 2)
 	for g := 0; g < 2; g++ {
 		key := uint64(g + 1)
@@ -215,10 +222,8 @@ func TestClientAutoBatchFlushBySize(t *testing.T) {
 
 func TestClientAutoBatchFlushByTimer(t *testing.T) {
 	cfg := Config{Nodes: 2, System: Base, NumKeys: 512}
-	_, cl := newChanClient(t, cfg)
-
 	// A lone op can only flush on the timer.
-	cl.SetAutoBatch(64, 20*time.Millisecond)
+	_, cl := newChanClient(t, cfg, WithAutoBatch(64, 20*time.Millisecond))
 	start := time.Now()
 	v, err := cl.Get(0, 3)
 	if err != nil || len(v) == 0 {
@@ -232,7 +237,7 @@ func TestClientAutoBatchFlushByTimer(t *testing.T) {
 func TestClientAutoBatchHalfFlushedOnPeerDeath(t *testing.T) {
 	cfg := Config{Nodes: 2, System: Base, NumKeys: 512, QueueDepth: 64}
 	members, addrs := newTCPMembers(t, cfg)
-	cl, err := DialTCP(201, addrs)
+	cl, err := DialTCP(201, addrs, WithAutoBatch(4, 50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +263,6 @@ func TestClientAutoBatchHalfFlushedOnPeerDeath(t *testing.T) {
 	// Two ops fill half of a maxOps=4 batch toward the dead node; the timer
 	// flush must fail them per-op with the typed unreachable error instead
 	// of stranding the batch.
-	cl.SetAutoBatch(4, 50*time.Millisecond)
 	done := make(chan error, 2)
 	go func() { _, err := cl.Get(1, 1); done <- err }()
 	go func() { done <- cl.Put(1, 2, []byte("lost")) }()
@@ -382,7 +386,7 @@ func TestClientBatchResultReleasePoisons(t *testing.T) {
 	if err := cl.Put(0, 7, want); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := cl.Batch(0, []BatchOp{{Key: 7}, {Key: 8}})
+	rs, err := cl.Batch(0, []Op{{Key: 7}, {Key: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +436,7 @@ func TestClientBatchLeasesSurviveHomeDown(t *testing.T) {
 	liveB := coldKeyHomedOn(t, members[0], 1, cfg.NumKeys)
 	deadKey := coldKeyHomedOn(t, members[0], 2, cfg.NumKeys)
 
-	rs, err := cl.Batch(0, []BatchOp{{Key: liveA}, {Key: deadKey}, {Key: liveB}})
+	rs, err := cl.Batch(0, []Op{{Key: liveA}, {Key: deadKey}, {Key: liveB}})
 	if err != nil {
 		t.Fatalf("Batch: %v", err)
 	}
@@ -478,7 +482,7 @@ func TestClientBatchReleaseNoopOnByRefTransport(t *testing.T) {
 	if err := cl.Put(0, 9, want); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := cl.Batch(0, []BatchOp{{Key: 9}})
+	rs, err := cl.Batch(0, []Op{{Key: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,11 +521,11 @@ func TestAutoBatchAdaptiveDelayTracksFill(t *testing.T) {
 // not noise.
 func TestClientAutoBatchAdaptiveThroughput(t *testing.T) {
 	cfg := Config{Nodes: 2, System: Base, NumKeys: 1024}
-	_, cl := newChanClient(t, cfg)
-
 	const callers = 64
 	const opsPerCaller = 50
-	run := func() time.Duration {
+	members, fixedCl := newChanClient(t, cfg, WithAutoBatch(callers, 2*time.Millisecond))
+	adaptiveCl := newSiblingClient(t, members, 201, WithAutoBatch(callers, 2*time.Millisecond))
+	run := func(cl *Client) time.Duration {
 		var wg sync.WaitGroup
 		start := time.Now()
 		for g := 0; g < callers; g++ {
@@ -542,25 +546,22 @@ func TestClientAutoBatchAdaptiveThroughput(t *testing.T) {
 	}
 
 	// Scheduling noise swamps single samples; best-of-3 per configuration.
-	best := func() time.Duration {
-		d := run()
+	best := func(cl *Client) time.Duration {
+		d := run(cl)
 		for i := 0; i < 2; i++ {
-			if r := run(); r < d {
+			if r := run(cl); r < d {
 				d = r
 			}
 		}
 		return d
 	}
 
-	cl.SetAutoBatch(callers, 2*time.Millisecond)
 	// Pin the armed delay at the ceiling: the pre-adaptive fixed behavior.
-	for _, a := range cl.ab.Load().per {
+	for _, a := range fixedCl.ab {
 		a.floor = a.delay
 	}
-	fixed := best()
-
-	cl.SetAutoBatch(callers, 2*time.Millisecond) // fresh, adaptive batchers
-	adaptive := best()
+	fixed := best(fixedCl)
+	adaptive := best(adaptiveCl)
 
 	t.Logf("64-caller throughput: adaptive %v, fixed-delay %v (best of 3)", adaptive, fixed)
 	if adaptive > fixed*2 {
@@ -574,10 +575,11 @@ func TestClientAutoBatchAdaptiveThroughput(t *testing.T) {
 // (>= 1.25ms here), far past this bound.
 func TestClientAutoBatchSoloLatency(t *testing.T) {
 	cfg := Config{Nodes: 2, System: Base, NumKeys: 512}
-	_, cl := newChanClient(t, cfg)
+	members, cl := newChanClient(t, cfg)
+	autoCl := newSiblingClient(t, members, 201, WithAutoBatch(64, 20*time.Millisecond))
 
 	const ops = 1000
-	measure := func() time.Duration {
+	measure := func(cl *Client) time.Duration {
 		lat := make([]time.Duration, ops)
 		for i := 0; i < ops; i++ {
 			start := time.Now()
@@ -590,9 +592,8 @@ func TestClientAutoBatchSoloLatency(t *testing.T) {
 		return lat[ops*99/100]
 	}
 
-	immediate := measure() // no auto-batching: every op flushes inline
-	cl.SetAutoBatch(64, 20*time.Millisecond)
-	solo := measure()
+	immediate := measure(cl) // no auto-batching: every op flushes inline
+	solo := measure(autoCl)
 	t.Logf("solo p99: immediate %v, auto-batched %v", immediate, solo)
 	if solo > immediate*3+100*time.Microsecond {
 		t.Fatalf("solo caller p99 %v with auto-batching, %v without — lone-caller fast path broken?", solo, immediate)

@@ -312,11 +312,6 @@ type Cluster struct {
 	// killed marks a chaos-killed member: every fabric handler drops its
 	// traffic so peers' suspicion timers fire (Kill).
 	killed atomic.Bool
-	// sessMu guards sessClosed against the worker session lanes' queues:
-	// enqueues take the read side, Close flips sessClosed and closes the
-	// queues under the write side, so no send can race the close.
-	sessMu     sync.RWMutex
-	sessClosed bool
 	// Ping-based failure detector state (startProber).
 	lastPong     []atomic.Int64
 	probeStop    chan struct{}
@@ -366,6 +361,10 @@ type Node struct {
 	// ConPackets counts consistency packets the coalescing consistency plane
 	// sent; ConMsgs counts the updates/invalidations/acks they carried.
 	// Their ratio is the write fan-out coalescing factor (§6.3).
+	//
+	// Both pairs count a packet before its send and uncount it if the send
+	// fails: a response can complete a waiting caller before Send returns,
+	// and that caller must already see its packet counted.
 	ConPackets, ConMsgs metrics.Counter
 	// RPCDecodeErrors counts malformed request/response entries that were
 	// refused or dropped instead of deadlocking their callers.
@@ -419,9 +418,10 @@ type worker struct {
 	// only ever consulted where the shard state it protects is consulted.
 	rmwPins map[uint64]rmwPin
 
-	// sessQ feeds this worker's session lane (session.go): client-edge
-	// requests steered here by key hash, served in overlapped bursts.
-	sessQ chan sessJob
+	// sess feeds this worker's session lane (session.go): client-edge
+	// requests steered here by key hash, served in overlapped bursts. A
+	// closing cluster drops what is put after the lane closed.
+	sess *lane[sessJob]
 }
 
 // workerFor returns the worker owning key's stripe.
@@ -520,7 +520,7 @@ func build(cfg Config, tr fabric.Transport, stats *fabric.Stats, self int) (*Clu
 			wk.rpc = newRPCClient(wk)
 			wk.pipe = newPipeline(wk, cfg.Nodes, cfg.QueueDepth, cfg.BatchMaxMsgs, cfg.BatchMaxBytes)
 			wk.con = newConPlane(wk, cfg.Nodes, cfg.QueueDepth, cfg.BatchMaxMsgs, cfg.BatchMaxBytes)
-			wk.sessQ = make(chan sessJob, cfg.QueueDepth)
+			wk.sess = newLane[sessJob](cfg.QueueDepth, sessLaneBurst, 0, nil)
 			n.workers[w] = wk
 		}
 		c.nodes[i] = n
@@ -669,19 +669,15 @@ func (c *Cluster) Close() error {
 	// wait them out so no reseed goroutine outlives the cluster.
 	c.reseedWG.Wait()
 	// Stop the session lanes last: in-flight lane work has already been
-	// failed by the pipeline/RPC teardown above, and the write lock pairs
-	// with sessEnqueue's read lock so no enqueue races the close.
-	c.sessMu.Lock()
-	c.sessClosed = true
+	// failed by the pipeline/RPC teardown above.
 	for _, n := range c.nodes {
 		if n == nil {
 			continue
 		}
 		for _, wk := range n.workers {
-			close(wk.sessQ)
+			wk.sess.close()
 		}
 	}
-	c.sessMu.Unlock()
 	return err
 }
 
@@ -797,7 +793,7 @@ func (n *Node) start() {
 	tr.Register(fabric.Addr{Node: n.id, Thread: threadFlow}, n.handleFlowControl)
 	tr.Register(fabric.Addr{Node: n.id, Thread: threadSession}, n.handleSession)
 	for _, wk := range n.workers {
-		go n.sessionLane(wk.sessQ)
+		go n.sessionLane(wk.sess)
 	}
 }
 

@@ -13,16 +13,11 @@ import (
 // The coalescing consistency plane: §6.3/§8.5 applied to the write fan-out.
 // Figure 11 shows that for write-heavy skewed workloads the message *count*
 // is dominated by header-only invalidations and acks, so sending each
-// update/invalidation/ack as its own packet — one credit acquire, one
-// transport send, one receive apiece — makes per-message overhead the write
-// path's bottleneck long before bandwidth. Like the request pipeline
-// (pipeline.go), every worker runs one consistency sender per peer: callers
-// enqueue decoded messages, the sender drains whatever is pending into
-// multi-message packets (up to Config.BatchMaxMsgs / BatchMaxBytes),
-// encodes each message straight into the packet buffer, and flushes
-// immediately when the lane runs dry so an isolated write's latency is
-// untouched (doorbell batching: concurrency is the only source of
-// coalescing).
+// update/invalidation/ack as its own packet makes per-message overhead the
+// write path's bottleneck long before bandwidth. Like the request pipeline
+// (pipeline.go), every worker runs one lane (lane.go) and one sender per
+// peer: the sender encodes each batch the lane drains straight into one
+// multi-message packet (up to Config.BatchMaxMsgs / BatchMaxBytes).
 //
 // Flow control is charged per *packet*, not per message — the receiving
 // side already notes one credit per consistency packet
@@ -34,8 +29,8 @@ import (
 // toward the writer, so an ack shares its packet with whatever updates or
 // invalidations are already headed there. Key steering makes the lane
 // well-defined — a key's messages always travel worker(key)'s lane — and
-// per-lane channel FIFO plus in-packet decode order preserves the per-key
-// ordering invariant (see core.Decode).
+// lane FIFO plus in-packet decode order preserves the per-key ordering
+// invariant (see core.Decode).
 //
 // Ordering across a view flip: messages queued toward an excised peer are
 // dropped at the credit acquire, exactly like pipeline senders fail queued
@@ -71,7 +66,7 @@ func classOf(k core.MsgType) metrics.MsgClass {
 }
 
 // encodedSize returns the message's wire size.
-func (m *conMsg) encodedSize() int {
+func (m conMsg) encodedSize() int {
 	switch m.kind {
 	case core.MsgUpdate:
 		return core.Update{Value: m.value}.EncodedSize()
@@ -93,34 +88,32 @@ type conCut struct {
 // conPlane aggregates outbound consistency messages per destination node
 // for one worker.
 type conPlane struct {
-	w        *worker
-	maxMsgs  int
-	maxBytes int
-
-	mu     sync.RWMutex
-	queues map[uint8]chan conMsg
-	closed bool
-	wg     sync.WaitGroup
+	w     *worker
+	lanes []*lane[conMsg] // indexed by peer; nil for the worker's own node
+	wg    sync.WaitGroup
 }
 
 // newConPlane starts one consistency sender goroutine per remote peer.
 func newConPlane(w *worker, peers, depth, maxMsgs, maxBytes int) *conPlane {
-	cp := &conPlane{
-		w:        w,
-		maxMsgs:  maxMsgs,
-		maxBytes: maxBytes,
-		queues:   make(map[uint8]chan conMsg, peers),
-	}
-	for peer := 0; peer < peers; peer++ {
+	cp := &conPlane{w: w, lanes: make([]*lane[conMsg], peers)}
+	for peer := range cp.lanes {
 		if peer == int(w.node.id) {
 			continue
 		}
-		q := make(chan conMsg, depth)
-		cp.queues[uint8(peer)] = q
+		cp.lanes[peer] = newLane(depth, maxMsgs, maxBytes, conMsg.encodedSize)
 		cp.wg.Add(1)
-		go cp.sender(uint8(peer), q)
+		go cp.sender(uint8(peer), cp.lanes[peer])
 	}
 	return cp
+}
+
+// laneTo returns peer's lane, or nil for an unknown peer or the worker's own
+// node.
+func (cp *conPlane) laneTo(peer uint8) *lane[conMsg] {
+	if int(peer) >= len(cp.lanes) {
+		return nil
+	}
+	return cp.lanes[peer]
 }
 
 // enqueue hands one message to peer's lane, blocking when the lane is full
@@ -128,44 +121,24 @@ func newConPlane(w *worker, peers, depth, maxMsgs, maxBytes int) *conPlane {
 // message — consistency traffic is fire-and-forget, matching how a closed
 // transport dropped these sends before.
 func (cp *conPlane) enqueue(peer uint8, m conMsg) {
-	cp.mu.RLock()
-	ch := cp.queues[peer]
-	if cp.closed || ch == nil {
-		cp.mu.RUnlock()
-		return
+	if ln := cp.laneTo(peer); ln != nil {
+		ln.put(m)
 	}
-	// The channel send stays under the read lock so close() cannot close the
-	// queue between the check and the send.
-	ch <- m
-	cp.mu.RUnlock()
 }
 
 // tryEnqueue is enqueue minus the blocking: it reports false when the lane
 // is full instead of waiting. Receive dispatchers use it for acks — a
 // dispatcher that blocked on a full lane would stop noting received packets
 // toward credit updates, and two nodes doing that to each other would
-// starve both senders for good.
+// starve both senders for good. A closed plane or unknown peer disposes of
+// the message (reports true).
 func (cp *conPlane) tryEnqueue(peer uint8, m conMsg) bool {
-	cp.mu.RLock()
-	defer cp.mu.RUnlock()
-	ch := cp.queues[peer]
-	if cp.closed || ch == nil {
-		return true // dropped, but disposed of: nothing more to do
-	}
-	select {
-	case ch <- m:
-		return true
-	default:
-		return false
-	}
+	ln := cp.laneTo(peer)
+	return ln == nil || ln.tryPut(m)
 }
 
-// sender drains peer's queue into multi-message consistency packets. Each
-// iteration takes one message (blocking) and then opportunistically
-// coalesces whatever else is already pending, up to the packet limits; a
-// message that would push the packet past maxBytes is carried into the next
-// packet (a single oversized message still ships alone).
-func (cp *conPlane) sender(peer uint8, q chan conMsg) {
+// sender encodes each batch peer's lane drains into one consistency packet.
+func (cp *conPlane) sender(peer uint8, ln *lane[conMsg]) {
 	defer cp.wg.Done()
 	w := cp.w
 	n := w.node
@@ -180,32 +153,23 @@ func (cp *conPlane) sender(peer uint8, q chan conMsg) {
 	// being re-copied. Reference-passing transports get a fresh flat buffer
 	// per packet with the values copied in (they must break aliasing anyway).
 	vectored := n.cluster.trCopies
-	batch := make([]conMsg, 0, cp.maxMsgs)
-	cuts := make([]conCut, 0, cp.maxMsgs)
-	segs := make([][]byte, 0, 2*cp.maxMsgs+1)
+	batch := make([]conMsg, 0, ln.maxMsgs)
+	cuts := make([]conCut, 0, ln.maxMsgs)
+	segs := make([][]byte, 0, 2*ln.maxMsgs+1)
 	var buf []byte
 	var spans []fabric.ClassSpan
-	var carry *conMsg
 	for {
-		var first conMsg
-		if carry != nil {
-			first, carry = *carry, nil
-		} else {
-			var ok bool
-			if first, ok = <-q; !ok {
-				return
-			}
+		var dry bool
+		if batch, dry = ln.next(batch); len(batch) == 0 {
+			return
 		}
-		batch = append(batch[:0], first)
-		size := first.encodedSize()
-		batch, size = cp.drain(q, batch, size, &carry)
-		if len(batch) > 1 && len(batch) < cp.maxMsgs && carry == nil {
-			// The doorbell pause: the first drain found company, so writers
-			// are actively ringing. One yield lets them enqueue what they are
+		if dry && len(batch) > 1 {
+			// The doorbell pause: the drain found company, so writers are
+			// actively ringing. One yield lets them enqueue what they are
 			// blocked on right now, deepening the packet without ever holding
-			// up an isolated write (a batch of one flushes immediately above).
+			// up an isolated write (a batch of one flushes immediately).
 			runtime.Gosched()
-			batch, size = cp.drain(q, batch, size, &carry)
+			batch, _ = ln.fill(batch)
 		}
 		// One credit per consistency packet (§6.3), restored by the
 		// receiver's batched credit updates. A failed acquire means peer left
@@ -221,7 +185,7 @@ func (cp *conPlane) sender(peer uint8, q chan conMsg) {
 			buf = buf[:0]
 			spans = spans[:0]
 		} else {
-			buf = make([]byte, 0, size)
+			buf = make([]byte, 0, ln.bytes)
 			spans = make([]fabric.ClassSpan, 0, 3)
 		}
 		cuts = cuts[:0]
@@ -264,38 +228,18 @@ func (cp *conPlane) sender(peer uint8, q chan conMsg) {
 		} else {
 			p.Data = buf
 		}
+		// Count before sending (see Node.ConPackets).
+		msgCount := uint64(len(batch))
+		n.ConPackets.Add(1)
+		n.ConMsgs.Add(msgCount)
 		if err := n.cluster.transport.Send(p); err != nil {
+			n.ConPackets.Add(^uint64(0))
+			n.ConMsgs.Add(-msgCount)
 			// The receiver will never note this packet toward a credit
 			// update; put the credit back so a closing drain cannot starve.
 			w.credits.Grant(dst, 1)
-			continue
-		}
-		n.ConPackets.Add(1)
-		n.ConMsgs.Add(uint64(len(batch)))
-	}
-}
-
-// drain opportunistically moves whatever is already pending on q into batch,
-// up to the packet's message and byte bounds; it never waits. A message that
-// would push the packet past maxBytes is parked in carry for the next packet.
-func (cp *conPlane) drain(q chan conMsg, batch []conMsg, size int, carry **conMsg) ([]conMsg, int) {
-	for len(batch) < cp.maxMsgs && size < cp.maxBytes {
-		select {
-		case it, ok := <-q:
-			if !ok {
-				return batch, size
-			}
-			if size+it.encodedSize() > cp.maxBytes {
-				*carry = &it // would bust the byte bound: next packet
-				return batch, size
-			}
-			batch = append(batch, it)
-			size += it.encodedSize()
-		default:
-			return batch, size // lane drained: flush now, never wait
 		}
 	}
-	return batch, size
 }
 
 // close stops accepting messages and waits for the senders to drain: queued
@@ -303,15 +247,10 @@ func (cp *conPlane) drain(q chan conMsg, batch []conMsg, size int, carry **conMs
 // pipeline.close) or are discarded when the transport refuses the send.
 // Messages enqueued after close are dropped.
 func (cp *conPlane) close() {
-	cp.mu.Lock()
-	if cp.closed {
-		cp.mu.Unlock()
-		return
+	for _, ln := range cp.lanes {
+		if ln != nil {
+			ln.close()
+		}
 	}
-	cp.closed = true
-	for _, q := range cp.queues {
-		close(q)
-	}
-	cp.mu.Unlock()
 	cp.wg.Wait()
 }

@@ -16,15 +16,11 @@ import (
 // switch packet-processing rate to raw bandwidth (Figure 13a) and letting
 // credits be charged per packet rather than per request.
 //
-// This reproduction keeps the same shape in goroutine form: every *worker*
-// runs one sender per peer, so a node's outbound request streams are as
-// parallel as its worker bank. Callers enqueue not-yet-encoded requests
-// (wireReq); the sender drains whatever is pending — up to maxMsgs requests
-// or maxBytes payload per packet — encoding each entry straight into the
-// packet buffer, and flushes immediately when the pipeline runs dry, so an
-// isolated request never waits for company (opportunistic batching, exactly
-// like fabric.Batcher's contract). Concurrency is the only source of
-// coalescing: a single closed-loop client sees one request per packet, many
+// Every *worker* runs one lane (lane.go) and one sender per peer, so a
+// node's outbound request streams are as parallel as its worker bank.
+// Callers put not-yet-encoded requests (wireReq); the sender takes each
+// batch the lane drains, encodes it straight into one packet buffer and
+// sends it. A single closed-loop client sees one request per packet; many
 // clients (or one MultiGet/MultiPut) see multi-request packets.
 //
 // Flow control: one credit is acquired per request *packet*; the batched
@@ -36,32 +32,21 @@ var ErrPipelineClosed = errors.New("cluster: request pipeline closed")
 // pipeline aggregates outstanding remote requests per destination node for
 // one worker.
 type pipeline struct {
-	w        *worker
-	maxMsgs  int
-	maxBytes int
-
-	mu     sync.RWMutex
-	queues map[uint8]chan wireReq
-	closed bool
-	wg     sync.WaitGroup
+	w     *worker
+	lanes []*lane[wireReq] // indexed by peer; nil for the worker's own node
+	wg    sync.WaitGroup
 }
 
 // newPipeline starts one sender goroutine per remote peer.
 func newPipeline(w *worker, peers, depth, maxMsgs, maxBytes int) *pipeline {
-	pl := &pipeline{
-		w:        w,
-		maxMsgs:  maxMsgs,
-		maxBytes: maxBytes,
-		queues:   make(map[uint8]chan wireReq, peers),
-	}
-	for peer := 0; peer < peers; peer++ {
+	pl := &pipeline{w: w, lanes: make([]*lane[wireReq], peers)}
+	for peer := range pl.lanes {
 		if peer == int(w.node.id) {
 			continue
 		}
-		q := make(chan wireReq, depth)
-		pl.queues[uint8(peer)] = q
+		pl.lanes[peer] = newLane(depth, maxMsgs, maxBytes, wireReq.encodedSize)
 		pl.wg.Add(1)
-		go pl.sender(uint8(peer), q)
+		go pl.sender(uint8(peer), pl.lanes[peer])
 	}
 	return pl
 }
@@ -70,77 +55,44 @@ func newPipeline(w *worker, peers, depth, maxMsgs, maxBytes int) *pipeline {
 // dropped) if the pipeline is closed or home is unknown, so callers blocked
 // on the pending channel always complete.
 func (pl *pipeline) enqueue(home uint8, q wireReq) {
-	pl.mu.RLock()
-	if pl.closed {
-		pl.mu.RUnlock()
-		pl.w.rpc.fail([]uint64{q.id}, ErrPipelineClosed)
-		return
-	}
-	ch := pl.queues[home]
-	if ch == nil {
-		pl.mu.RUnlock()
+	if int(home) >= len(pl.lanes) || pl.lanes[home] == nil {
 		pl.w.rpc.fail([]uint64{q.id}, errors.New("cluster: no pipeline for home node"))
 		return
 	}
-	// The channel send stays under the read lock so close() cannot close the
-	// queue between the check and the send.
-	ch <- q
-	pl.mu.RUnlock()
+	if !pl.lanes[home].put(q) {
+		pl.w.rpc.fail([]uint64{q.id}, ErrPipelineClosed)
+	}
 }
 
-// sender drains home's queue into multi-request packets. Each iteration
-// takes one request (blocking) and then opportunistically coalesces whatever
-// else is already pending, up to the packet limits. A request that would
-// push the packet past maxBytes is carried into the next packet (a single
-// oversized request still ships alone — it must go somehow).
-func (pl *pipeline) sender(home uint8, q chan wireReq) {
+// sender encodes each batch home's lane drains into one request packet.
+func (pl *pipeline) sender(home uint8, ln *lane[wireReq]) {
 	defer pl.wg.Done()
 	w := pl.w
 	n := w.node
 	cfg := n.cluster.cfg
 	kvsAddr := fabric.Addr{Node: home, Thread: cfg.kvsThread(w.idx)}
 	srcAddr := fabric.Addr{Node: n.id, Thread: cfg.respThread(w.idx)}
-	ids := make([]uint64, 0, pl.maxMsgs)
+	batch := make([]wireReq, 0, ln.maxMsgs)
+	ids := make([]uint64, 0, ln.maxMsgs)
 	// When the transport serializes packets during Send (TCP), the packet
 	// buffer is reused across iterations — the request hot path then
 	// allocates nothing per packet. Reference-passing transports get a
 	// fresh buffer per packet.
 	reuse := n.cluster.trCopies
 	var buf []byte
-	var carry *wireReq
 	for {
-		var first wireReq
-		if carry != nil {
-			first, carry = *carry, nil
-		} else {
-			var ok bool
-			if first, ok = <-q; !ok {
-				return
-			}
+		if batch, _ = ln.next(batch); len(batch) == 0 {
+			return
 		}
 		if reuse {
 			buf = buf[:0]
 		} else {
-			buf = make([]byte, 0, first.encodedSize()*2)
+			buf = make([]byte, 0, ln.bytes)
 		}
-		buf = first.appendTo(buf)
-		ids = append(ids[:0], first.id)
-	collect:
-		for len(ids) < pl.maxMsgs && len(buf) < pl.maxBytes {
-			select {
-			case it, ok := <-q:
-				if !ok {
-					break collect
-				}
-				if len(buf)+it.encodedSize() > pl.maxBytes {
-					carry = &it // would bust the byte bound: next packet
-					break collect
-				}
-				buf = it.appendTo(buf)
-				ids = append(ids, it.id)
-			default:
-				break collect // pipeline drained: flush now, never wait
-			}
+		ids = ids[:0]
+		for i := range batch {
+			buf = batch[i].appendTo(buf)
+			ids = append(ids, batch[i].id)
 		}
 		// One credit per packet (§6.3): the batched response restores it. A
 		// failed acquire means home left the membership view (its budget was
@@ -152,6 +104,10 @@ func (pl *pipeline) sender(home uint8, q chan wireReq) {
 			w.rpc.fail(ids, fmt.Errorf("cluster: request for node %d dropped (%w)", home, ErrNodeDown))
 			continue
 		}
+		// Count before sending (see Node.RemoteReqPackets).
+		msgs := uint64(len(ids))
+		n.RemoteReqPackets.Add(1)
+		n.RemoteReqMsgs.Add(msgs)
 		err := n.cluster.transport.Send(fabric.Packet{
 			Src:   srcAddr,
 			Dst:   kvsAddr,
@@ -159,14 +115,13 @@ func (pl *pipeline) sender(home uint8, q chan wireReq) {
 			Data:  buf,
 		})
 		if err != nil {
+			n.RemoteReqPackets.Add(^uint64(0))
+			n.RemoteReqMsgs.Add(-msgs)
 			// No response will arrive to restore the credit; put it back so
 			// the drain of a closing pipeline cannot starve.
 			w.credits.Grant(kvsAddr, 1)
 			w.rpc.fail(ids, err)
-			continue
 		}
-		n.RemoteReqPackets.Add(1)
-		n.RemoteReqMsgs.Add(uint64(len(ids)))
 	}
 }
 
@@ -175,15 +130,10 @@ func (pl *pipeline) sender(home uint8, q chan wireReq) {
 // call this while the transport is up) or fail when the transport refuses
 // the send. Requests enqueued after close fail with ErrPipelineClosed.
 func (pl *pipeline) close() {
-	pl.mu.Lock()
-	if pl.closed {
-		pl.mu.Unlock()
-		return
+	for _, ln := range pl.lanes {
+		if ln != nil {
+			ln.close()
+		}
 	}
-	pl.closed = true
-	for _, q := range pl.queues {
-		close(q)
-	}
-	pl.mu.Unlock()
 	pl.wg.Wait()
 }

@@ -188,7 +188,7 @@ func (n *Node) handleSession(p fabric.Packet) {
 			return
 		}
 		key := binary.LittleEndian.Uint64(body[:8])
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpGet, key: key}})
+		n.workerFor(key).sess.put(sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpGet, key: key}})
 	case sessOpPut:
 		if len(body) < 12 {
 			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
@@ -203,7 +203,7 @@ func (n *Node) handleSession(p fabric.Packet) {
 		// The value aliases the packet buffer; copy before it escapes into
 		// the store or the consistency broadcast.
 		val := append([]byte(nil), body[12:12+vlen]...)
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpPut, key: key, value: val}})
+		n.workerFor(key).sess.put(sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpPut, key: key, value: val}})
 	case sessOpCAS:
 		if len(body) < 12 {
 			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
@@ -222,7 +222,7 @@ func (n *Node) handleSession(p fabric.Packet) {
 		}
 		expect := append([]byte(nil), body[12:12+elen]...)
 		val := append([]byte(nil), body[16+elen:16+elen+vlen]...)
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpCAS, key: key, expect: expect, value: val}})
+		n.workerFor(key).sess.put(sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpCAS, key: key, expect: expect, value: val}})
 	case sessOpFAA:
 		if len(body) < 16 {
 			n.sessReplyStatus(p.Src, reqID, sessStatusBad)
@@ -230,7 +230,7 @@ func (n *Node) handleSession(p fabric.Packet) {
 		}
 		key := binary.LittleEndian.Uint64(body[:8])
 		delta := binary.LittleEndian.Uint64(body[8:16])
-		n.sessEnqueue(n.workerFor(key), sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpFAA, key: key, delta: delta}})
+		n.workerFor(key).sess.put(sessJob{src: p.Src, reqID: reqID, op: sessOp{kind: sessOpFAA, key: key, delta: delta}})
 	case sessOpBatch:
 		n.dispatchSessionBatch(p.Src, reqID, body)
 	case sessOpPing:
@@ -393,21 +393,8 @@ func (n *Node) dispatchSessionBatch(src fabric.Addr, reqID uint64, body []byte) 
 	}
 	b.remaining.Store(int32(len(b.groups)))
 	for gi := range b.groups {
-		n.sessEnqueue(n.workers[b.groups[gi].worker], sessJob{batch: b, gidx: int32(gi)})
+		n.workers[b.groups[gi].worker].sess.put(sessJob{batch: b, gidx: int32(gi)})
 	}
-}
-
-// sessEnqueue hands a job to a worker's session lane unless the cluster is
-// closing. The read lock pairs with Close's write lock: a blocked sender
-// keeps draining (the lanes only stop after the closed flag flips), so a
-// send on a closed channel is impossible.
-func (n *Node) sessEnqueue(wk *worker, job sessJob) {
-	c := n.cluster
-	c.sessMu.RLock()
-	if !c.sessClosed {
-		wk.sessQ <- job
-	}
-	c.sessMu.RUnlock()
 }
 
 // serveRefresh runs an online epoch change and answers its session request.
@@ -510,23 +497,11 @@ type sessLane struct {
 // sessionLane serves one worker's session jobs until the lane closes. Each
 // iteration drains a burst of queued jobs and serves them with their remote
 // accesses overlapped — the client-edge mirror of Node.MultiGet/MultiPut.
-func (n *Node) sessionLane(q chan sessJob) {
+func (n *Node) sessionLane(q *lane[sessJob]) {
 	l := &sessLane{n: n}
-	for job := range q {
-		l.burst = l.burst[:0]
-		l.burst = append(l.burst, job)
-		draining := true
-		for draining && len(l.burst) < sessLaneBurst {
-			select {
-			case j, ok := <-q:
-				if !ok {
-					draining = false
-					break
-				}
-				l.burst = append(l.burst, j)
-			default:
-				draining = false
-			}
+	for {
+		if l.burst, _ = q.next(l.burst); len(l.burst) == 0 {
+			return
 		}
 		l.serveBurst()
 	}

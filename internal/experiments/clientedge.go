@@ -109,11 +109,12 @@ func runEdgeMode(nodes, numKeys, totalOps, clients, batch int, auto bool, wl wor
 	}
 	defer c.Close()
 	c.Populate()
-	cl := cluster.NewClient(200, nodes, tr)
-	defer cl.Close()
+	var opts []cluster.ClientOption
 	if auto {
-		cl.SetAutoBatch(batch, 200*time.Microsecond)
+		opts = append(opts, cluster.WithAutoBatch(batch, 200*time.Microsecond))
 	}
+	cl := cluster.NewClient(200, nodes, tr, opts...)
+	defer cl.Close()
 
 	gen, err := workload.New(wl)
 	if err != nil {
@@ -179,14 +180,14 @@ func edgeClient(cl *cluster.Client, g *workload.Generator, id, nodes, ops, batch
 		}
 		return nil
 	}
-	buf := make([]cluster.BatchOp, 0, batch)
+	buf := make([]cluster.Op, 0, batch)
 	for done := 0; done < ops; {
 		buf = buf[:0]
 		for len(buf) < batch && done+len(buf) < ops {
 			op := g.Next()
-			b := cluster.BatchOp{Key: op.Key}
+			b := cluster.Op{Key: op.Key}
 			if op.Type == workload.Put {
-				b.Put = true
+				b.Kind = cluster.OpPut
 				b.Value = append([]byte(nil), op.Value...)
 			}
 			buf = append(buf, b)

@@ -132,13 +132,10 @@ type Transport interface {
 var ErrClosed = errors.New("fabric: transport closed")
 
 // Stats collects transport-level counters: packets/bytes by class plus the
-// RDMA-flavored bookkeeping (inlined sends, selective-signal completions,
-// doorbell batches).
+// RDMA-flavored bookkeeping (inlined sends).
 type Stats struct {
 	Traffic     *metrics.Traffic
 	Inlined     metrics.Counter
-	Signaled    metrics.Counter
-	Doorbells   metrics.Counter
 	SendsTotal  metrics.Counter
 	RecvsTotal  metrics.Counter
 	SendBlocked metrics.Counter // sends that found a full queue (backpressure)
