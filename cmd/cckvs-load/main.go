@@ -711,8 +711,12 @@ func runVerify(cl *cluster.Client, o verifyOpts, keys []uint64, stdout io.Writer
 						fail(fmt.Errorf("reader node %d key %d: %w", node, k, err))
 						return
 					}
-					seq, ok := decodeVerify(k, v)
-					if !ok {
+					seq, stamped, err := readSeq(k, v)
+					if err != nil {
+						fail(fmt.Errorf("reader node %d key %d: %w", node, k, err))
+						return
+					}
+					if !stamped {
 						continue // pre-check populate value
 					}
 					if seq > uint64(o.rounds) {
@@ -813,6 +817,24 @@ func decodeVerify(key uint64, v []byte) (uint64, bool) {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint64(v[8:]), true
+}
+
+// readSeq classifies a value read from a checked key. A checker stamp
+// yields its sequence number (stamped=true). The value Cluster.Populate
+// wrote before the first checked write (byte j is byte(key)^byte(j)) yields
+// stamped=false. Anything else is an error: the workload never writes
+// checked keys, so a foreign value means the cluster served a value nobody
+// wrote to this key.
+func readSeq(key uint64, v []byte) (seq uint64, stamped bool, err error) {
+	if seq, ok := decodeVerify(key, v); ok {
+		return seq, true, nil
+	}
+	for j, b := range v {
+		if b != byte(key)^byte(j) {
+			return 0, false, fmt.Errorf("FOREIGN VALUE %x: neither a checker stamp nor the populate value", v)
+		}
+	}
+	return 0, false, nil
 }
 
 // reportStats prints per-node counters and enforces the hit-rate floor. In

@@ -181,3 +181,24 @@ func TestWorkloadNeverWritesCheckedKeys(t *testing.T) {
 		t.Fatal("the generator proposed no writes to checked keys; the test checks nothing")
 	}
 }
+
+func TestReadSeqRejectsForeignValues(t *testing.T) {
+	var key uint64 = 300 // above 255, so byte(key) truncates as in Populate
+	populate := make([]byte, 40)
+	for j := range populate {
+		populate[j] = byte(key) ^ byte(j)
+	}
+	if _, stamped, err := readSeq(key, populate); stamped || err != nil {
+		t.Fatalf("populate value: stamped=%v err=%v, want skipped", stamped, err)
+	}
+	if seq, stamped, err := readSeq(key, encodeVerify(key, 7)); seq != 7 || !stamped || err != nil {
+		t.Fatalf("stamp: seq=%d stamped=%v err=%v, want seq 7", seq, stamped, err)
+	}
+	foreign := append([]byte(nil), populate...)
+	foreign[3] ^= 0xFF
+	for _, v := range [][]byte{foreign, encodeVerify(key+1, 7)} {
+		if _, _, err := readSeq(key, v); err == nil || !strings.Contains(err.Error(), "FOREIGN VALUE") {
+			t.Fatalf("value %x: err=%v, want FOREIGN VALUE", v, err)
+		}
+	}
+}

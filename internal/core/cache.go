@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -111,14 +112,85 @@ type entry struct {
 	pendSuperseded bool
 }
 
-// table is an immutable key set with mutable entries. A new table is
-// installed wholesale at a full epoch change (Install) and copy-on-write at
-// an incremental one (Add/Remove): readers and the consistency protocol keep
-// running against whichever table pointer they loaded, entries being shared
-// between the old and new tables.
+// tableShards is the number of copy-on-write shards the hot set is split
+// into. An incremental edit (Add/AddPending/Remove) copies only the shards
+// its keys hash to, so a one-key promotion or demotion costs ~k/tableShards
+// map work instead of a copy of the whole hot set. A constant, not a knob.
+const (
+	tableShardBits = 6
+	tableShards    = 1 << tableShardBits
+)
+
+// table is an immutable key set with mutable entries, split into
+// tableShards maps by key hash. A new table is installed wholesale at a full
+// epoch change (Install) and copy-on-write at an incremental one
+// (Add/AddPending/Remove), where only the touched shards are copied and the
+// rest are shared: readers and the consistency protocol keep running against
+// whichever table pointer they loaded, entries being shared between the old
+// and new tables.
 type table struct {
-	m map[uint64]*entry
+	shards [tableShards]map[uint64]*entry
 }
+
+// shardOf picks key's shard with a multiplicative (Fibonacci) hash, so
+// dense key ranges spread evenly.
+func shardOf(key uint64) int {
+	return int((key * 0x9E3779B97F4A7C15) >> (64 - tableShardBits))
+}
+
+// get is the one lookup every read site goes through.
+func (t *table) get(key uint64) (*entry, bool) {
+	e, ok := t.shards[shardOf(key)][key]
+	return e, ok
+}
+
+func (t *table) len() int {
+	n := 0
+	for _, m := range t.shards {
+		n += len(m)
+	}
+	return n
+}
+
+// all is the one iterator every scan goes through: for k, e := range t.all.
+func (t *table) all(yield func(uint64, *entry) bool) {
+	for _, m := range t.shards {
+		for k, e := range m {
+			if !yield(k, e) {
+				return
+			}
+		}
+	}
+}
+
+// tableEdit is a copy of a table under construction: it shares every shard
+// with its source until set or del first touches one, which then gets a
+// private copy. The caller publishes the edited table with one atomic swap.
+type tableEdit struct {
+	*table
+	owned uint64 // bit i set once shards[i] is a private copy (tableShards <= 64)
+}
+
+func (t *table) edit() tableEdit {
+	next := *t
+	return tableEdit{table: &next}
+}
+
+// own returns a writable copy of key's shard, copying it on first touch.
+func (ed *tableEdit) own(key uint64) map[uint64]*entry {
+	i := shardOf(key)
+	if ed.owned&(1<<i) == 0 {
+		m := make(map[uint64]*entry, len(ed.shards[i])+1)
+		maps.Copy(m, ed.shards[i])
+		ed.shards[i] = m
+		ed.owned |= 1 << i
+	}
+	return ed.shards[i]
+}
+
+func (ed *tableEdit) set(key uint64, e *entry) { ed.own(key)[key] = e }
+
+func (ed *tableEdit) del(key uint64) { delete(ed.own(key), key) }
 
 // Stats aggregates cache/protocol counters.
 type Stats struct {
@@ -156,7 +228,7 @@ func NewCache(nodeID uint8, numNodes int) *Cache {
 		panic("core: deployment needs at least one node")
 	}
 	c := &Cache{nodeID: nodeID, numNodes: numNodes}
-	c.table.Store(&table{m: map[uint64]*entry{}})
+	c.table.Store(&table{})
 	full := FullNodeSet(numNodes)
 	c.live.Store(&full)
 	return c
@@ -172,13 +244,17 @@ func (c *Cache) NumNodes() int { return c.numNodes }
 func (c *Cache) Stats() *Stats { return &c.stats }
 
 // Len returns the number of cached keys.
-func (c *Cache) Len() int { return len(c.table.Load().m) }
+func (c *Cache) Len() int { return c.table.Load().len() }
+
+// lookup resolves key against the current table: one atomic load, then one
+// map probe in the key's shard.
+func (c *Cache) lookup(key uint64) (*entry, bool) { return c.table.Load().get(key) }
 
 // Contains reports whether key is in the hot set. Because caches are
 // symmetric, a local probe answers the global question "which nodes cache
 // this item": all of them or none (§4).
 func (c *Cache) Contains(key uint64) bool {
-	_, ok := c.table.Load().m[key]
+	_, ok := c.lookup(key)
 	return ok
 }
 
@@ -199,10 +275,10 @@ func (c *Cache) Install(keys []uint64, fetch func(key uint64) ([]byte, timestamp
 	c.reconfMu.Lock()
 	defer c.reconfMu.Unlock()
 	old := c.table.Load()
-	next := &table{m: make(map[uint64]*entry, len(keys))}
+	ed := (&table{}).edit()
 	for _, k := range keys {
-		if e, ok := old.m[k]; ok {
-			next.m[k] = e // retained entries keep value, ts and state
+		if e, ok := old.get(k); ok {
+			ed.set(k, e) // retained entries keep value, ts and state
 			continue
 		}
 		e := &entry{}
@@ -211,12 +287,12 @@ func (c *Cache) Install(keys []uint64, fetch func(key uint64) ([]byte, timestamp
 			e.vlen = len(v)
 			e.ts = ts
 		}
-		next.m[k] = e
+		ed.set(k, e)
 	}
 
 	var wb []WriteBack
-	for k, e := range old.m {
-		if _, kept := next.m[k]; kept {
+	for k, e := range old.all {
+		if _, kept := ed.get(k); kept {
 			continue
 		}
 		c.stats.Evictions.Add(1)
@@ -231,7 +307,7 @@ func (c *Cache) Install(keys []uint64, fetch func(key uint64) ([]byte, timestamp
 		}
 		e.lock.Unlock()
 	}
-	c.table.Store(next)
+	c.table.Store(ed.table)
 	return wb
 }
 
@@ -265,41 +341,27 @@ func (c *Cache) Install(keys []uint64, fetch func(key uint64) ([]byte, timestamp
 func (c *Cache) Add(keys []uint64, fetch func(key uint64) ([]byte, timestamp.TS, bool)) int {
 	c.reconfMu.Lock()
 	defer c.reconfMu.Unlock()
-	old := c.table.Load()
-	fresh := make([]uint64, 0, len(keys))
-	for _, k := range keys {
-		if _, ok := old.m[k]; !ok {
-			fresh = append(fresh, k)
-		}
-	}
-	if len(fresh) == 0 {
-		return 0
-	}
-	next := &table{m: make(map[uint64]*entry, len(old.m)+len(fresh))}
-	for k, e := range old.m {
-		next.m[k] = e
-	}
+	ed := c.table.Load().edit()
 	installed := 0
-	for _, k := range fresh {
-		if _, dup := next.m[k]; dup {
-			continue // duplicate key in the promotion list
+	for _, k := range keys {
+		if _, ok := ed.get(k); ok {
+			continue // already cached, or a duplicate in the promotion list
 		}
 		v, ts, ok := fetch(k)
 		if !ok {
 			continue
 		}
-		e := &entry{
+		ed.set(k, &entry{
 			val:  append(make([]byte, 0, len(v)), v...),
 			vlen: len(v),
 			ts:   ts,
-		}
-		next.m[k] = e
+		})
 		installed++
 	}
 	if installed == 0 {
 		return 0
 	}
-	c.table.Store(next)
+	c.table.Store(ed.table)
 	return installed
 }
 
@@ -314,29 +376,19 @@ func (c *Cache) Add(keys []uint64, fetch func(key uint64) ([]byte, timestamp.TS,
 func (c *Cache) AddPending(keys []uint64) int {
 	c.reconfMu.Lock()
 	defer c.reconfMu.Unlock()
-	old := c.table.Load()
-	fresh := make([]uint64, 0, len(keys))
-	for _, k := range keys {
-		if _, ok := old.m[k]; !ok {
-			fresh = append(fresh, k)
-		}
-	}
-	if len(fresh) == 0 {
-		return 0
-	}
-	next := &table{m: make(map[uint64]*entry, len(old.m)+len(fresh))}
-	for k, e := range old.m {
-		next.m[k] = e
-	}
+	ed := c.table.Load().edit()
 	installed := 0
-	for _, k := range fresh {
-		if _, dup := next.m[k]; dup {
+	for _, k := range keys {
+		if _, ok := ed.get(k); ok {
 			continue
 		}
-		next.m[k] = &entry{frozen: true, installing: true}
+		ed.set(k, &entry{frozen: true, installing: true})
 		installed++
 	}
-	c.table.Store(next)
+	if installed == 0 {
+		return 0
+	}
+	c.table.Store(ed.table)
 	return installed
 }
 
@@ -350,7 +402,7 @@ func (c *Cache) AddPending(keys []uint64) int {
 // It reports whether key was a placeholder (false for live or missing
 // entries, which are left alone).
 func (c *Cache) FillAdd(key uint64, value []byte, ts timestamp.TS) bool {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		return false
 	}
@@ -383,7 +435,7 @@ func (c *Cache) Retire(keys []uint64) int {
 	t := c.table.Load()
 	n := 0
 	for _, k := range keys {
-		e, ok := t.m[k]
+		e, ok := t.get(k)
 		if !ok {
 			continue
 		}
@@ -407,7 +459,7 @@ func (c *Cache) Unfreeze(keys []uint64) int {
 	t := c.table.Load()
 	n := 0
 	for _, k := range keys {
-		e, ok := t.m[k]
+		e, ok := t.get(k)
 		if !ok {
 			continue
 		}
@@ -430,7 +482,7 @@ func (c *Cache) Freeze(keys []uint64) int {
 	t := c.table.Load()
 	n := 0
 	for _, k := range keys {
-		e, ok := t.m[k]
+		e, ok := t.get(k)
 		if !ok {
 			continue
 		}
@@ -452,7 +504,7 @@ func (c *Cache) Freeze(keys []uint64) int {
 // and needs no write-back. A key that is no longer cached is trivially
 // quiescent and clean.
 func (c *Cache) CollectFrozen(key uint64) (wb WriteBack, dirty, ok bool) {
-	e, present := c.table.Load().m[key]
+	e, present := c.lookup(key)
 	if !present {
 		return WriteBack{}, false, true
 	}
@@ -480,36 +532,31 @@ func (c *Cache) CollectFrozen(key uint64) (wb WriteBack, dirty, ok bool) {
 func (c *Cache) Remove(keys []uint64) int {
 	c.reconfMu.Lock()
 	defer c.reconfMu.Unlock()
-	old := c.table.Load()
-	dropKeys := make(map[uint64]*entry, len(keys))
+	ed := c.table.Load().edit()
+	var dropped []*entry
 	for _, k := range keys {
-		if e, ok := old.m[k]; ok {
-			dropKeys[k] = e
+		if e, ok := ed.get(k); ok {
+			ed.del(k)
+			dropped = append(dropped, e)
 		}
 	}
-	if len(dropKeys) == 0 {
+	if len(dropped) == 0 {
 		return 0
 	}
-	next := &table{m: make(map[uint64]*entry, len(old.m)-len(dropKeys))}
-	for k, e := range old.m {
-		if _, gone := dropKeys[k]; !gone {
-			next.m[k] = e
-		}
-	}
-	c.table.Store(next)
-	for _, e := range dropKeys {
+	c.table.Store(ed.table)
+	for _, e := range dropped {
 		e.lock.Lock()
 		e.frozen = true
 		e.lock.Unlock()
 		c.stats.Evictions.Add(1)
 	}
-	return len(dropKeys)
+	return len(dropped)
 }
 
 // Frozen reports whether key is cached and currently frozen for demotion
 // (test hook).
 func (c *Cache) Frozen(key uint64) bool {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		return false
 	}
@@ -522,7 +569,7 @@ func (c *Cache) Frozen(key uint64) bool {
 // it with the entry's timestamp. It returns ErrMiss for uncached keys and
 // ErrInvalid when a Lin invalidation is outstanding. Reads are lock-free.
 func (c *Cache) Read(key uint64, dst []byte) ([]byte, timestamp.TS, error) {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		c.stats.Misses.Add(1)
 		return dst, timestamp.TS{}, ErrMiss
@@ -577,8 +624,8 @@ func (e *entry) setValueLocked(value []byte) {
 // Keys returns the cached key set (for tests and epoch bookkeeping).
 func (c *Cache) Keys() []uint64 {
 	t := c.table.Load()
-	out := make([]uint64, 0, len(t.m))
-	for k := range t.m {
+	out := make([]uint64, 0, t.len())
+	for k := range t.all {
 		out = append(out, k)
 	}
 	return out
@@ -586,7 +633,7 @@ func (c *Cache) Keys() []uint64 {
 
 // EntryState returns the state and timestamp of a cached key (test hook).
 func (c *Cache) EntryState(key uint64) (State, timestamp.TS, bool) {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		return 0, timestamp.TS{}, false
 	}

@@ -30,7 +30,7 @@ import "repro/internal/timestamp"
 // so that is linearizable), and further local writes to the key are refused
 // with ErrWritePending.
 func (c *Cache) WriteLinStart(key uint64, value []byte) (Invalidation, error) {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		c.stats.Misses.Add(1)
 		return Invalidation{}, ErrMiss
@@ -89,7 +89,7 @@ func (c *Cache) WriteLinStart(key uint64, value []byte) (Invalidation, error) {
 // Invalid entry: the current value is unreadable until the in-flight
 // update lands, so ErrInvalid is returned and the caller spins like a read.
 func (c *Cache) RMWLinStart(key uint64, compute func(cur []byte) ([]byte, bool)) (inv Invalidation, witness []byte, applied bool, err error) {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		c.stats.Misses.Add(1)
 		return Invalidation{}, nil, false, ErrMiss
@@ -150,7 +150,7 @@ func (c *Cache) RMWLinStart(key uint64, compute func(cur []byte) ([]byte, bool))
 // entry becomes Invalid and its own completion will not publish its value.
 func (c *Cache) ApplyInvalidation(inv Invalidation) (Ack, bool) {
 	c.stats.Invalidations.Add(1)
-	e, ok := c.table.Load().m[inv.Key]
+	e, ok := c.lookup(inv.Key)
 	if !ok {
 		// Not cached this epoch: nothing to invalidate, but still ack so
 		// the writer can make progress.
@@ -185,7 +185,7 @@ func (c *Cache) ApplyInvalidation(inv Invalidation) (Ack, bool) {
 // update will carry the final value), the entry returns to Valid when
 // appropriate, and the Update to broadcast is returned with done=true.
 func (c *Cache) ApplyAck(a Ack) (Update, bool) {
-	e, ok := c.table.Load().m[a.Key]
+	e, ok := c.lookup(a.Key)
 	if !ok {
 		return Update{}, false
 	}
@@ -251,7 +251,7 @@ func (c *Cache) finishPendingLocked(e *entry, key uint64) Update {
 // live member — no further ack may ever arrive, and this is what completes
 // the write instead.
 func (c *Cache) RecheckPending(key uint64) (Update, bool) {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		return Update{}, false
 	}
@@ -276,7 +276,7 @@ func (c *Cache) RecheckPending(key uint64) (Update, bool) {
 func (c *Cache) SetLive(live NodeSet) []Update {
 	c.live.Store(&live)
 	var completed []Update
-	for key, e := range c.table.Load().m {
+	for key, e := range c.table.Load().all {
 		e.lock.Lock()
 		if e.pendActive && c.pendingSatisfiedLocked(e) {
 			completed = append(completed, c.finishPendingLocked(e, key))
@@ -300,7 +300,7 @@ func (c *Cache) Live() NodeSet { return *c.live.Load() }
 // is taken exactly once; a live winner (flag kept) means the update is
 // still coming and nothing is taken.
 func (c *Cache) TakeOrphanedLoserWrite(key uint64) (Update, bool) {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		return Update{}, false
 	}
@@ -340,7 +340,7 @@ func (c *Cache) TakeOrphanedLoserWrite(key uint64) (Update, bool) {
 // — an accepted recovery window; see ROADMAP for the full per-key recovery
 // round.
 func (c *Cache) DiscardOrphanedInvalidations(writer uint8) (healed int, resurrect []Update) {
-	for key, e := range c.table.Load().m {
+	for key, e := range c.table.Load().all {
 		e.lock.Lock()
 		if e.state == StateInvalid && e.ts.Writer == writer {
 			e.state = StateValid
@@ -365,7 +365,7 @@ func (c *Cache) DiscardOrphanedInvalidations(writer uint8) (healed int, resurrec
 // for; stale updates (superseded by a higher-timestamped invalidation) are
 // discarded. It reports whether the update was applied.
 func (c *Cache) ApplyUpdateLin(u Update) bool {
-	e, ok := c.table.Load().m[u.Key]
+	e, ok := c.lookup(u.Key)
 	if !ok {
 		c.stats.UpdatesDiscarded.Add(1)
 		return false
@@ -401,7 +401,7 @@ func (c *Cache) PendingWrite(key uint64) bool {
 // any. RMW completion polling matches it against the stamp the poller was
 // handed, so a later writer's pending write never reads as "still mine".
 func (c *Cache) PendingWriteTS(key uint64) (timestamp.TS, bool) {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		return timestamp.TS{}, false
 	}

@@ -18,7 +18,7 @@ import "repro/internal/timestamp"
 // broadcast to the other N-1 replicas. On a miss it returns ErrMiss and the
 // caller forwards the put to the key's home shard.
 func (c *Cache) WriteSC(key uint64, value []byte) (Update, error) {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		c.stats.Misses.Add(1)
 		return Update{}, ErrMiss
@@ -50,7 +50,7 @@ func (c *Cache) WriteSC(key uint64, value []byte) (Update, error) {
 // the key's single RMW serialization point, so replica convergence by
 // timestamp order carries RMW atomicity cluster-wide.
 func (c *Cache) RMWSC(key uint64, compute func(cur []byte) ([]byte, bool)) (upd Update, witness []byte, applied bool, err error) {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		c.stats.Misses.Add(1)
 		return Update{}, nil, false, ErrMiss
@@ -90,7 +90,7 @@ func (c *Cache) RMWSC(key uint64, compute func(cur []byte) ([]byte, bool)) (upd 
 // superseded and not applied locally (the sequencer guarantees this cannot
 // happen while the sequencer is the only timestamp source).
 func (c *Cache) WriteSCWithTS(key uint64, value []byte, ts timestamp.TS) (Update, error) {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		c.stats.Misses.Add(1)
 		return Update{}, ErrMiss
@@ -115,7 +115,7 @@ func (c *Cache) WriteSCWithTS(key uint64, value []byte, ts timestamp.TS) (Update
 // the received timestamp orders after the stored one. It reports whether the
 // update was applied.
 func (c *Cache) ApplyUpdateSC(u Update) bool {
-	e, ok := c.table.Load().m[u.Key]
+	e, ok := c.lookup(u.Key)
 	if !ok {
 		// The hot set shifted between the sender's epoch and ours; the
 		// update is simply dropped — the KVS home copy is the fallback.
@@ -142,7 +142,7 @@ func (c *Cache) ApplyUpdateSC(u Update) bool {
 // MaxTS returns the highest timestamp stored for key (test hook used by
 // convergence property tests).
 func (c *Cache) MaxTS(key uint64) timestamp.TS {
-	e, ok := c.table.Load().m[key]
+	e, ok := c.lookup(key)
 	if !ok {
 		return timestamp.TS{}
 	}

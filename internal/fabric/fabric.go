@@ -139,6 +139,9 @@ type Stats struct {
 	SendsTotal  metrics.Counter
 	RecvsTotal  metrics.Counter
 	SendBlocked metrics.Counter // sends that found a full queue (backpressure)
+	// SocketReads counts read syscalls on TCP connections; with the
+	// buffered read loop one read can carry many frames (RecvsTotal).
+	SocketReads metrics.Counter
 	// Vectored/flattened account how segmented payloads (Packet.Segs) left
 	// the process: VectoredBytes went to the wire by scatter-gather write
 	// (zero copies of the segment memory), FlattenedBytes were copied into

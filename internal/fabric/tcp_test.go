@@ -268,3 +268,42 @@ func TestTCPLargePayload(t *testing.T) {
 		t.Fatal("large payload never arrived")
 	}
 }
+
+// TestTCPReadDrainsManyFrames pins the buffered read loop: frames queued in
+// the kernel while a handler is busy are picked up by a handful of socket
+// reads, not two reads (header, body) per frame.
+func TestTCPReadDrainsManyFrames(t *testing.T) {
+	a, b := newTCPPair(t)
+	const frames = 256
+	release := make(chan struct{})
+	var got sync.WaitGroup
+	got.Add(frames + 1)
+	first := true
+	b.Register(Addr{Node: 1}, func(p Packet) {
+		if first {
+			first = false
+			<-release // hold the read loop while the rest queue up
+		}
+		got.Done()
+	})
+	send := func() {
+		if err := a.Send(Packet{Src: Addr{Node: 0}, Dst: Addr{Node: 1}, Data: []byte("sixteen byte msg")}); err != nil {
+			t.Error(err)
+		}
+	}
+	before := b.stats.SocketReads.Load()
+	send()
+	for range frames {
+		send()
+	}
+	// Loopback queues each frame at b during its Send; the kernel's receive
+	// queue cannot be awaited, so allow a margin before releasing the loop.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	got.Wait()
+	reads := b.stats.SocketReads.Load() - before
+	t.Logf("%d frames in %d socket reads", frames+1, reads)
+	if reads > 8 {
+		t.Fatalf("%d frames took %d socket reads, want at most 8", frames+1, reads)
+	}
+}
