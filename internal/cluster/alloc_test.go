@@ -7,16 +7,15 @@ import (
 	"repro/internal/core"
 )
 
-// The allocation diet of the multi-worker PR: a remote get on the in-process
+// The allocation diet of the remote-get path: a remote get on the in-process
 // transport costs a bounded, small number of heap allocations per op. The
 // seed measured 7.0 allocs/op on this exact scenario; encode-at-send (no
-// per-request scratch buffer), pooled completion channels and the pooled
-// server-side read staging bring it to 3 — the remaining ones are the
-// per-packet buffers a reference-passing transport cannot recycle plus the
-// one unavoidable copy that hands the value to the caller. The assertion
-// leaves half an alloc of headroom for map-rehash noise but fails well
-// before the seed's count, so a regression that reintroduces per-call
-// garbage is caught.
+// per-request scratch buffer), pooled completion channels, pooled request
+// and response packet buffers, zero-copy leased responses and pooled
+// delivery buffers bring it to 1 — the one unavoidable copy that hands the
+// value to the caller. The bound keeps 1.5 allocs of headroom for
+// map-rehash noise, so a regression that reintroduces a per-packet buffer
+// (or any per-call garbage) is caught.
 func TestRemoteGetAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -42,8 +41,8 @@ func TestRemoteGetAllocsPerOp(t *testing.T) {
 		})
 		c.Close()
 		t.Logf("workers=%d: remote get %.1f allocs/op (seed: 7.0)", w, allocs)
-		if allocs > 4.5 {
-			t.Fatalf("workers=%d: remote get costs %.1f allocs/op, want <= 4.5 (seed was 7.0)", w, allocs)
+		if allocs > 2.5 {
+			t.Fatalf("workers=%d: remote get costs %.1f allocs/op, want <= 2.5 (seed was 7.0)", w, allocs)
 		}
 	}
 }
@@ -52,12 +51,13 @@ func TestRemoteGetAllocsPerOp(t *testing.T) {
 // broadcast, gathers acks and broadcasts the update — before the coalescing
 // plane that was three Encode(nil) allocations per peer per write on top of
 // the protocol's own bookkeeping. Encode-at-flush writes every message
-// straight into the lane's packet buffer, so the steady-state cost is the
-// durable per-write state (the immutable value copy, the waiter channel,
-// per-packet buffers the reference-passing transport cannot recycle), not
-// per-message garbage. Measured 17 allocs/op at the time the gate was set;
-// the bound fails a reintroduction of per-message encode allocations (two
-// peers x three messages would add ~6).
+// straight into the lane's reused packet buffer, so the steady-state cost is
+// the durable per-write state (the immutable value copy, the waiter
+// channel), not per-message or per-packet garbage. Measured 9 allocs/op at
+// the time the gate was set (17 while in-process packets still needed fresh
+// buffers); the bound fails a reintroduction of per-message encode
+// allocations (two peers x three messages would add ~6) or of per-packet
+// buffers.
 func TestLinPutAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -82,9 +82,9 @@ func TestLinPutAllocsPerOp(t *testing.T) {
 			}
 		})
 		c.Close()
-		t.Logf("workers=%d: lin put %.1f allocs/op (gate set at 17.0)", w, allocs)
-		if allocs > 18.5 {
-			t.Fatalf("workers=%d: lin put costs %.1f allocs/op, want <= 18.5 (was 17.0 when gated)", w, allocs)
+		t.Logf("workers=%d: lin put %.1f allocs/op (gate set at 9.0)", w, allocs)
+		if allocs > 10.5 {
+			t.Fatalf("workers=%d: lin put costs %.1f allocs/op, want <= 10.5 (was 9.0 when gated)", w, allocs)
 		}
 	}
 }

@@ -32,9 +32,6 @@ type Client struct {
 	owns    bool
 	nodes   int
 	timeout time.Duration
-	// trCopies mirrors Cluster.trCopies: the transport serializes packet
-	// data during Send, so encode buffers can be pooled and reused.
-	trCopies bool
 
 	// winCh[node] is the pipelining window: one slot per in-flight request
 	// toward that server. A slot is acquired before a request registers and
@@ -86,8 +83,8 @@ var respLeasePool = sync.Pool{New: func() any { return new(respLease) }}
 // configuration); tests may force it on.
 var poisonReleasedBufs = raceBuild
 
-// release drops one reference; nil leases (by-reference transports, where
-// the payload needs no pooling) are a no-op.
+// release drops one reference; nil leases (Results without a value, failed
+// exchanges) are a no-op.
 func (l *respLease) release() {
 	if l == nil {
 		return
@@ -164,9 +161,6 @@ func NewClient(id uint8, nodes int, tr fabric.Transport, opts ...ClientOption) *
 		nodes:   nodes,
 		timeout: 10 * time.Second,
 		pend:    map[uint64]sessPending{},
-	}
-	if ct, ok := tr.(interface{ SendCopiesData() bool }); ok {
-		cl.trCopies = ct.SendCopiesData()
 	}
 	cl.winCh = make([]chan struct{}, nodes)
 	for i := range cl.winCh {
@@ -275,26 +269,21 @@ func (cl *Client) onResponse(p fabric.Packet) {
 	if !ok {
 		return // abandoned (timed out) or duplicate; nothing waits
 	}
+	// The packet buffer is only lent to this handler, so the payload is
+	// copied out before it returns.
 	res := sessResult{status: p.Data[8]}
-	switch {
-	case !cl.trCopies:
-		// By-reference transport: the server builds a fresh response buffer
-		// per reply (it only pools encode buffers on copying transports), so
-		// the payload is ours to alias — the zero-copy receive path.
-		res.payload = p.Data[9:]
-	case pd.lease:
-		// Copying transport, batch request: stage the payload in a pooled
-		// refcounted buffer. The decoded Results inherit references and the
-		// caller returns the buffer via Release.
+	if pd.lease {
+		// Batch request: stage the payload in a pooled refcounted buffer.
+		// The decoded Results inherit references and the caller returns the
+		// buffer via Release.
 		l := respLeasePool.Get().(*respLease)
 		l.refs.Store(1)
 		l.buf = append(l.buf[:0], p.Data[9:]...)
 		res.payload = l.buf
 		res.lease = l
-	default:
-		// Copying transport, point op: the packet buffer is reused after
-		// this handler and the caller may hold the value forever, so copy
-		// into a buffer the garbage collector owns.
+	} else {
+		// Point op: the caller may hold the value forever, so copy into a
+		// buffer the garbage collector owns.
 		res.payload = append([]byte(nil), p.Data[9:]...)
 	}
 	pd.ch <- res
@@ -349,23 +338,19 @@ func (cl *Client) take(id uint64) bool {
 	return ok
 }
 
-// newFrame returns an encode buffer for one request frame: pooled when the
-// transport copies on send, fresh otherwise (a by-reference transport keeps
-// the buffer alive past Send).
-func (cl *Client) newFrame(capHint int) ([]byte, *srvBuf) {
-	if cl.trCopies {
-		p := respBufPool.Get().(*srvBuf)
-		return p.b[:0], p
-	}
-	return make([]byte, 0, capHint), nil
+// newFrame returns a pooled encode buffer for one request frame; exchange
+// recycles it once Send consumed the frame.
+func newFrame() ([]byte, *srvBuf) {
+	p := respBufPool.Get().(*srvBuf)
+	return p.b[:0], p
 }
 
 // exchange sends one encoded request frame to node and waits for its
-// response or the timeout. It owns the frame: pooled buffers are recycled
-// once the transport is done with them. wantLease asks onResponse to stage
-// the payload in a pooled refcounted buffer (batch path); a timed-out
-// exchange abandons its channel, so a lease parked there falls to the
-// garbage collector rather than the pool — safe, just unrecycled.
+// response or the timeout. It owns the frame: the pooled buffer is recycled
+// once Send consumed it. wantLease asks onResponse to stage the payload in a
+// pooled refcounted buffer (batch path); a timed-out exchange abandons its
+// channel, so a lease parked there falls to the garbage collector rather
+// than the pool — safe, just unrecycled.
 func (cl *Client) exchange(node uint8, id uint64, frame []byte, pooled *srvBuf, timeout time.Duration, wantLease bool) (sessResult, error) {
 	cl.acquireSlot(node)
 	ch := sessChPool.Get().(chan sessResult)
@@ -374,10 +359,8 @@ func (cl *Client) exchange(node uint8, id uint64, frame []byte, pooled *srvBuf, 
 		cl.mu.Unlock()
 		cl.releaseSlot(node)
 		sessChPool.Put(ch)
-		if pooled != nil {
-			pooled.b = frame
-			respBufPool.Put(pooled)
-		}
+		pooled.b = frame
+		respBufPool.Put(pooled)
 		return sessResult{}, ErrClientClosed
 	}
 	cl.pend[id] = sessPending{ch: ch, node: node, lease: wantLease}
@@ -389,10 +372,8 @@ func (cl *Client) exchange(node uint8, id uint64, frame []byte, pooled *srvBuf, 
 		Class: metrics.ClassCacheMiss,
 		Data:  frame,
 	})
-	if pooled != nil {
-		pooled.b = frame
-		respBufPool.Put(pooled)
-	}
+	pooled.b = frame
+	respBufPool.Put(pooled)
 	if err != nil {
 		if cl.take(id) {
 			sessChPool.Put(ch)
@@ -446,7 +427,7 @@ func (cl *Client) call(node uint8, op byte, body []byte) (sessResult, error) {
 // fast; epoch changes get extra room).
 func (cl *Client) callT(node uint8, op byte, body []byte, timeout time.Duration) (sessResult, error) {
 	id := cl.nextID.Add(1)
-	frame, pooled := cl.newFrame(sessHeader + len(body))
+	frame, pooled := newFrame()
 	frame = append(frame, op)
 	frame = binary.LittleEndian.AppendUint64(frame, id)
 	frame = append(frame, body...)
@@ -507,7 +488,7 @@ func (cl *Client) Get(node int, key uint64) ([]byte, error) {
 		return r.Value, r.Err
 	}
 	id := cl.nextID.Add(1)
-	frame, pooled := cl.newFrame(sessHeader + 8)
+	frame, pooled := newFrame()
 	frame = append(frame, sessOpGet)
 	frame = binary.LittleEndian.AppendUint64(frame, id)
 	frame = binary.LittleEndian.AppendUint64(frame, key)
@@ -543,7 +524,7 @@ func (cl *Client) Put(node int, key uint64, value []byte) error {
 		return cl.ab[node].do(Op{Kind: OpPut, Key: key, Value: value}).Err
 	}
 	id := cl.nextID.Add(1)
-	frame, pooled := cl.newFrame(sessHeader + 12 + len(value))
+	frame, pooled := newFrame()
 	frame = append(frame, sessOpPut)
 	frame = binary.LittleEndian.AppendUint64(frame, id)
 	frame = binary.LittleEndian.AppendUint64(frame, key)
@@ -573,7 +554,7 @@ func (cl *Client) CompareAndSwap(node int, key uint64, expect, newVal []byte) (w
 		return r.Value, r.Err == nil, r.Err
 	}
 	id := cl.nextID.Add(1)
-	frame, pooled := cl.newFrame(sessHeader + 16 + len(expect) + len(newVal))
+	frame, pooled := newFrame()
 	frame = append(frame, sessOpCAS)
 	frame = binary.LittleEndian.AppendUint64(frame, id)
 	frame = binary.LittleEndian.AppendUint64(frame, key)
@@ -610,7 +591,7 @@ func (cl *Client) FetchAndAdd(node int, key uint64, delta uint64) (old uint64, e
 		return DecodeCounter(r.Value)
 	}
 	id := cl.nextID.Add(1)
-	frame, pooled := cl.newFrame(sessHeader + 16)
+	frame, pooled := newFrame()
 	frame = append(frame, sessOpFAA)
 	frame = binary.LittleEndian.AppendUint64(frame, id)
 	frame = binary.LittleEndian.AppendUint64(frame, key)
@@ -678,12 +659,11 @@ func (o *Op) kind() OpKind { return o.EffectiveKind() }
 // when the key's home left the view, ErrNodeUnreachable / ErrSessionTimeout /
 // ErrClientClosed when the op's frame failed.
 //
-// Value ownership: on a copying transport (TCP), a batch Result's Value
-// aliases a pooled response buffer shared by the whole frame. Callers that
-// are done with Value should call Release so the buffer can be recycled;
-// callers that keep values past the batch must take ValueCopy first. Never
-// calling Release is always safe — the buffer just falls to the garbage
-// collector instead of the pool.
+// Value ownership: a batch Result's Value aliases a pooled response buffer
+// shared by the whole frame. Callers that are done with Value should call
+// Release so the buffer can be recycled; callers that keep values past the
+// batch must take ValueCopy first. Never calling Release is always safe —
+// the buffer just falls to the garbage collector instead of the pool.
 type Result struct {
 	Value []byte
 	Err   error
@@ -806,11 +786,7 @@ func (cl *Client) Batch(node int, ops []Op) ([]Result, error) {
 // chunk, so callers that only look at per-op results still observe it.
 func (cl *Client) batchChunk(node int, ops []Op, rs []Result) error {
 	id := cl.nextID.Add(1)
-	size := sessHeader + 4
-	for i := range ops {
-		size += opWireSize(&ops[i])
-	}
-	frame, pooled := cl.newFrame(size)
+	frame, pooled := newFrame()
 	frame = append(frame, sessOpBatch)
 	frame = binary.LittleEndian.AppendUint64(frame, id)
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(ops)))
@@ -837,9 +813,9 @@ func (cl *Client) batchChunk(node int, ops []Op, rs []Result) error {
 }
 
 // decodeBatch unpacks a batch response's per-op entries into rs. The request
-// ops disambiguate bare-OK puts from value-framed gets/RMWs. lease, when
-// non-nil, is the pooled buffer backing payload: every value-bearing Result
-// takes one reference on it (released by the caller via Result.Release).
+// ops disambiguate bare-OK puts from value-framed gets/RMWs. lease is the
+// pooled buffer backing payload: every value-bearing Result takes one
+// reference on it (released by the caller via Result.Release).
 func (cl *Client) decodeBatch(node int, ops []Op, rs []Result, payload []byte, lease *respLease) error {
 	malformed := func() error {
 		// Unwind the references handed to already-decoded Results: the caller
@@ -876,10 +852,8 @@ func (cl *Client) decodeBatch(node int, ops []Op, rs []Result, payload []byte, l
 				return malformed()
 			}
 			rs[i].Value = buf[4 : 4+vlen]
-			if lease != nil {
-				lease.refs.Add(1)
-				rs[i].lease = lease
-			}
+			lease.refs.Add(1)
+			rs[i].lease = lease
 			buf = buf[4+vlen:]
 			if status == sessStatusCASFail {
 				rs[i].Err = ErrCASMismatch

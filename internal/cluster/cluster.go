@@ -288,12 +288,6 @@ type Cluster struct {
 	cfg       Config
 	transport fabric.Transport
 	stats     *fabric.Stats
-	// trCopies reports that the transport serializes packet data during
-	// Send (fabric.TCPTransport): senders may reuse their encode buffers
-	// the moment Send returns, which is what makes the hot path's pooled
-	// buffers possible. Channel-based transports pass data by reference,
-	// so there the buffers must stay fresh per packet.
-	trCopies bool
 	// nodes is indexed by node id and always cfg.Nodes long; in member form
 	// every entry except the local node is nil.
 	nodes  []*Node
@@ -482,9 +476,6 @@ func build(cfg Config, tr fabric.Transport, stats *fabric.Stats, self int) (*Clu
 		transport: tr,
 		member:    self >= 0,
 		self:      self,
-	}
-	if ct, ok := tr.(interface{ SendCopiesData() bool }); ok {
-		c.trCopies = ct.SendCopiesData()
 	}
 	c.view.Store(&View{live: core.FullNodeSet(cfg.Nodes), n: cfg.Nodes})
 	c.lastPong = make([]atomic.Int64, cfg.Nodes)
@@ -877,8 +868,8 @@ func (n *Node) sendAck(to uint8, ack core.Ack) {
 // broadcastUpdate fans an update out to every live peer via the key's
 // worker's consistency lanes. The value slice is enqueued as-is on every
 // lane — core hands out freshly-copied, immutable values, so coalescing
-// never re-copies them; on zero-copy transports they go to the wire as
-// their own packet segments (conPlane.sender).
+// never re-copies them; they go to the wire as their own packet segments
+// (conPlane.sender).
 func (n *Node) broadcastUpdate(upd core.Update) {
 	n.broadcastConsistency(conMsg{kind: core.MsgUpdate, key: upd.Key, ts: upd.TS, value: upd.Value})
 }

@@ -146,13 +146,10 @@ func (cp *conPlane) sender(peer uint8, ln *lane[conMsg]) {
 	th := cfg.cacheThread(w.idx)
 	dst := fabric.Addr{Node: peer, Thread: th}
 	src := fabric.Addr{Node: n.id, Thread: th}
-	// When the transport serializes packets during Send (TCP), the packet
-	// buffer, scatter list and span list are all reused across iterations —
-	// the consistency hot path then allocates nothing per packet, and update
-	// values go to the wire as their own segments (Packet.Segs) without ever
-	// being re-copied. Reference-passing transports get a fresh flat buffer
-	// per packet with the values copied in (they must break aliasing anyway).
-	vectored := n.cluster.trCopies
+	// Send consumes the packet, so the packet buffer, scatter list and span
+	// list are all reused across iterations — the consistency hot path
+	// allocates nothing per packet, and update values go to the wire as
+	// their own segments (Packet.Segs) without ever being re-copied.
 	batch := make([]conMsg, 0, ln.maxMsgs)
 	cuts := make([]conCut, 0, ln.maxMsgs)
 	segs := make([][]byte, 0, 2*ln.maxMsgs+1)
@@ -181,13 +178,8 @@ func (cp *conPlane) sender(peer uint8, ln *lane[conMsg]) {
 		if !w.credits.Acquire(dst) {
 			continue
 		}
-		if vectored {
-			buf = buf[:0]
-			spans = spans[:0]
-		} else {
-			buf = make([]byte, 0, ln.bytes)
-			spans = make([]fabric.ClassSpan, 0, 3)
-		}
+		buf = buf[:0]
+		spans = spans[:0]
 		cuts = cuts[:0]
 		var msgs, bytes [4]uint32 // indexed by core.MsgType (1..3)
 		for i := range batch {
@@ -197,11 +189,7 @@ func (cp *conPlane) sender(peer uint8, ln *lane[conMsg]) {
 			switch m.kind {
 			case core.MsgUpdate:
 				buf = core.Update{Key: m.key, TS: m.ts, Value: m.value}.EncodeHeader(buf)
-				if vectored {
-					cuts = append(cuts, conCut{off: len(buf), val: m.value})
-				} else {
-					buf = append(buf, m.value...)
-				}
+				cuts = append(cuts, conCut{off: len(buf), val: m.value})
 			case core.MsgInvalidation:
 				buf = core.Invalidation{Key: m.key, TS: m.ts, From: m.from}.Encode(buf)
 			default:

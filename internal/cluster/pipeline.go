@@ -74,21 +74,14 @@ func (pl *pipeline) sender(home uint8, ln *lane[wireReq]) {
 	srcAddr := fabric.Addr{Node: n.id, Thread: cfg.respThread(w.idx)}
 	batch := make([]wireReq, 0, ln.maxMsgs)
 	ids := make([]uint64, 0, ln.maxMsgs)
-	// When the transport serializes packets during Send (TCP), the packet
-	// buffer is reused across iterations — the request hot path then
-	// allocates nothing per packet. Reference-passing transports get a
-	// fresh buffer per packet.
-	reuse := n.cluster.trCopies
+	// Send consumes the packet, so one buffer serves every packet — the
+	// request hot path allocates nothing per packet.
 	var buf []byte
 	for {
 		if batch, _ = ln.next(batch); len(batch) == 0 {
 			return
 		}
-		if reuse {
-			buf = buf[:0]
-		} else {
-			buf = make([]byte, 0, ln.bytes)
-		}
+		buf = buf[:0]
 		ids = ids[:0]
 		for i := range batch {
 			buf = batch[i].appendTo(buf)

@@ -757,8 +757,7 @@ type respCut struct {
 }
 
 // respAssembly collects the zero-copy splices of one response packet and the
-// scratch used to materialize them into a vectored payload. Pooled; used
-// only on transports that consume segments during Send (trCopies).
+// scratch used to materialize them into a vectored payload. Pooled.
 type respAssembly struct {
 	cuts []respCut
 	segs [][]byte
@@ -818,20 +817,13 @@ func (n *Node) handleKVSRequest(p fabric.Packet) {
 	}
 	buf := p.Data
 	scratch := scratchPool.Get().(*srvBuf)
-	var pooled *srvBuf
-	var ra *respAssembly
-	var resp []byte
-	if n.cluster.trCopies {
-		// The transport serializes the packet during Send, so the response
-		// buffer can be recycled — and store leases released — the moment
-		// Send returns. Gets answer zero-copy: their values ride as leased
-		// segments of a vectored payload instead of being copied into resp.
-		pooled = respBufPool.Get().(*srvBuf)
-		resp = pooled.b[:0]
-		ra = respAsmPool.Get().(*respAssembly)
-	} else {
-		resp = make([]byte, 0, 64)
-	}
+	// Send consumes the response, so its buffer is recycled — and store
+	// leases released — the moment Send returns. Gets answer zero-copy:
+	// their values ride as leased segments of a vectored payload instead of
+	// being copied into resp.
+	pooled := respBufPool.Get().(*srvBuf)
+	resp := pooled.b[:0]
+	ra := respAsmPool.Get().(*respAssembly)
 	for len(buf) > 0 {
 		req, consumed, err := parseRequest(buf)
 		if err != nil {
@@ -856,28 +848,23 @@ func (n *Node) handleKVSRequest(p fabric.Packet) {
 		Dst:   p.Src,
 		Class: metrics.ClassCacheMiss,
 	}
-	if ra != nil && len(ra.cuts) > 0 {
+	if len(ra.cuts) > 0 {
 		out.Segs = ra.vector(resp)
 	} else {
 		out.Data = resp
 	}
 	n.cluster.transport.Send(out)
-	if ra != nil {
-		ra.release() // the transport consumed the segments during Send
-		respAsmPool.Put(ra)
-	}
+	ra.release() // the transport consumed the segments during Send
+	respAsmPool.Put(ra)
 	scratchPool.Put(scratch)
-	if pooled != nil {
-		pooled.b = resp
-		respBufPool.Put(pooled)
-	}
+	pooled.b = resp
+	respBufPool.Put(pooled)
 }
 
 // serveRequest executes one decoded request and appends its response entry.
-// scratch stages KVS reads so a get copies once (shard into scratch, scratch
-// into resp) without allocating. When ra is non-nil (transports that consume
-// segments during Send), gets skip even that copy: the value is leased from
-// the store and spliced into the packet as its own wire segment.
+// Gets copy nothing: the value is leased from the store and spliced into the
+// packet (ra) as its own wire segment. scratch stages the other ops' KVS
+// reads without allocating.
 func (n *Node) serveRequest(src uint8, req rpcRequest, resp []byte, scratch *srvBuf, ra *respAssembly) []byte {
 	switch req.op {
 	case rpcOpGet:
@@ -886,21 +873,13 @@ func (n *Node) serveRequest(src uint8, req rpcRequest, resp []byte, scratch *srv
 			// state; readers wait for the seed stream (RemoteGet re-issues).
 			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)
 		}
-		if ra != nil {
-			lease, ts, err := n.kvs.GetLease(req.key)
-			if err != nil {
-				return appendStatusOnly(resp, req.reqID, rpcStatusNotFound)
-			}
-			resp = appendPayloadHeader(resp, req.reqID, rpcStatusOK, ts, len(lease.Value()))
-			ra.splice(resp, lease)
-			return resp
-		}
-		v, ts, err := n.kvs.Get(req.key, scratch.b[:0])
+		lease, ts, err := n.kvs.GetLease(req.key)
 		if err != nil {
 			return appendStatusOnly(resp, req.reqID, rpcStatusNotFound)
 		}
-		scratch.b = v
-		return appendOKResponse(resp, req.reqID, ts, v)
+		resp = appendPayloadHeader(resp, req.reqID, rpcStatusOK, ts, len(lease.Value()))
+		ra.splice(resp, lease)
+		return resp
 	case rpcOpPut:
 		if n.cluster.syncing.Load() {
 			return appendStatusOnly(resp, req.reqID, rpcStatusRetry)

@@ -423,8 +423,7 @@ func (n *Node) sessReplyStatus(dst fabric.Addr, reqID uint64, status byte) {
 // learned the return route from the inbound connection, so ephemeral clients
 // outside the peer table still get their answer. A failed send means the
 // client is gone (its timeout or peer-down handler cleans up). pooled, when
-// non-nil, is recycled after the send — only legal when the transport copies
-// on send (Cluster.trCopies).
+// non-nil, is recycled after the send (Send consumed resp).
 func (n *Node) sessSend(dst fabric.Addr, resp []byte, pooled *srvBuf) {
 	_ = n.cluster.transport.Send(fabric.Packet{
 		Src:   fabric.Addr{Node: n.id, Thread: threadSession},
@@ -440,9 +439,9 @@ func (n *Node) sessSend(dst fabric.Addr, resp []byte, pooled *srvBuf) {
 
 // sessSendVec replies with a vectored frame: the wire payload is the
 // in-order concatenation of segs (metadata spans interleaved with leased
-// store values). Only legal on transports that consume segments during Send
-// (Cluster.trCopies) — the caller releases its leases right after. meta is
-// the metadata buffer backing the spans, recycled via pooled like sessSend.
+// store values). Send consumes the segments, so the caller releases its
+// leases right after. meta is the metadata buffer backing the spans,
+// recycled via pooled like sessSend.
 func (n *Node) sessSendVec(dst fabric.Addr, segs [][]byte, meta []byte, pooled *srvBuf) {
 	_ = n.cluster.transport.Send(fabric.Packet{
 		Src:   fabric.Addr{Node: n.id, Thread: threadSession},
@@ -756,37 +755,27 @@ func (l *sessLane) emit() {
 		job := &l.burst[ji]
 		if job.batch == nil {
 			r := &l.res[job.resOff]
-			var pooled *srvBuf
-			var resp []byte
-			if n.cluster.trCopies {
-				pooled = respBufPool.Get().(*srvBuf)
-				resp = pooled.b[:0]
-				if r.lease.Held() {
-					// Zero-copy reply: metadata frame + the leased store
-					// value as its own wire segment; the transport consumes
-					// both during Send, after which the lease drops.
-					resp = binary.LittleEndian.AppendUint64(resp, job.reqID)
-					resp = append(resp, r.status)
-					resp = binary.LittleEndian.AppendUint32(resp, uint32(len(r.val)))
-					l.segs = append(l.segs[:0], resp, r.val)
-					n.sessSendVec(job.src, l.segs, resp, pooled)
-					l.segs[0], l.segs[1] = nil, nil
-					r.lease.Release()
-					continue
-				}
-			} else {
-				resp = make([]byte, 0, 64)
+			pooled := respBufPool.Get().(*srvBuf)
+			resp := binary.LittleEndian.AppendUint64(pooled.b[:0], job.reqID)
+			if r.lease.Held() {
+				// Zero-copy reply: metadata frame + the leased store value
+				// as its own wire segment; the transport consumes both
+				// during Send, after which the lease drops.
+				resp = append(resp, r.status)
+				resp = binary.LittleEndian.AppendUint32(resp, uint32(len(r.val)))
+				l.segs = append(l.segs[:0], resp, r.val)
+				n.sessSendVec(job.src, l.segs, resp, pooled)
+				l.segs[0], l.segs[1] = nil, nil
+				r.lease.Release()
+				continue
 			}
-			resp = binary.LittleEndian.AppendUint64(resp, job.reqID)
 			resp = appendSessOpRes(resp, r)
 			n.sessSend(job.src, resp, pooled)
-			r.lease.Release() // flat path copied the value into resp
 			continue
 		}
 		b := job.batch
 		g := &b.groups[job.gidx]
-		// Group buffers are intermediate (the assembly below copies out of
-		// them), so they are pooled on every transport.
+		// Group buffers are intermediate: the assembly copies out of them.
 		pooled := respBufPool.Get().(*srvBuf)
 		buf := pooled.b[:0]
 		for k := range g.ops {
@@ -818,28 +807,12 @@ func (l *sessLane) emit() {
 // finishSessionBatch assembles a settled batch's response frame in request
 // order and sends it; the atomic decrement that elected this lane ordered
 // every other group's writes before its reads. Leased values (zero-copy
-// gets) are spliced between the metadata spans: as wire segments on
-// transports that consume them during Send, by one copy otherwise; either
-// way every lease is released here.
+// gets) are spliced between the metadata spans as wire segments, and every
+// lease is released once Send consumed them.
 func (n *Node) finishSessionBatch(b *sessBatch) {
-	total := 13
-	for gi := range b.groups {
-		total += len(b.groups[gi].buf)
-	}
-	for i := range b.spans {
-		total += len(b.spans[i].lease.Value())
-	}
-	var pooled *srvBuf
-	var resp []byte
-	var ra *respAssembly
-	if n.cluster.trCopies {
-		pooled = respBufPool.Get().(*srvBuf)
-		resp = pooled.b[:0]
-		ra = respAsmPool.Get().(*respAssembly)
-	} else {
-		resp = make([]byte, 0, total)
-	}
-	resp = binary.LittleEndian.AppendUint64(resp, b.reqID)
+	pooled := respBufPool.Get().(*srvBuf)
+	ra := respAsmPool.Get().(*respAssembly)
+	resp := binary.LittleEndian.AppendUint64(pooled.b[:0], b.reqID)
 	resp = append(resp, sessStatusOK)
 	resp = binary.LittleEndian.AppendUint32(resp, uint32(len(b.spans)))
 	for i := range b.spans {
@@ -848,12 +821,7 @@ func (n *Node) finishSessionBatch(b *sessBatch) {
 		if !sp.lease.Held() {
 			continue
 		}
-		if ra != nil {
-			ra.splice(resp, sp.lease) // released by ra.release below
-		} else {
-			resp = append(resp, sp.lease.Value()...)
-			sp.lease.Release()
-		}
+		ra.splice(resp, sp.lease) // released by ra.release below
 		sp.lease = store.Lease{}
 	}
 	for gi := range b.groups {
@@ -862,15 +830,13 @@ func (n *Node) finishSessionBatch(b *sessBatch) {
 		respBufPool.Put(g.pooled)
 		g.pooled, g.buf = nil, nil
 	}
-	if ra != nil && len(ra.cuts) > 0 {
+	if len(ra.cuts) > 0 {
 		n.sessSendVec(b.src, ra.vector(resp), resp, pooled)
 	} else {
 		n.sessSend(b.src, resp, pooled)
 	}
-	if ra != nil {
-		ra.release()
-		respAsmPool.Put(ra)
-	}
+	ra.release()
+	respAsmPool.Put(ra)
 }
 
 // appendSessOpRes encodes one op result: the status byte plus the payload the

@@ -112,9 +112,9 @@ func (u Update) Encode(buf []byte) []byte {
 
 // EncodeHeader appends everything of the update's wire form except the value
 // bytes: type, key, timestamp and the value-length prefix. The coalescing
-// consistency sender uses it on zero-copy transports to splice the value in
-// as its own packet segment instead of re-copying it; EncodeHeader followed
-// by the value bytes is exactly Encode.
+// consistency sender uses it to splice the value in as its own packet
+// segment instead of re-copying it; EncodeHeader followed by the value bytes
+// is exactly Encode.
 func (u Update) EncodeHeader(buf []byte) []byte {
 	buf = append(buf, byte(MsgUpdate))
 	buf = binary.LittleEndian.AppendUint64(buf, u.Key)

@@ -199,8 +199,10 @@ func edgeClient(cl *cluster.Client, g *workload.Generator, id, nodes, ops, batch
 		if err != nil {
 			return err
 		}
-		for _, r := range rs {
-			if err := tolerate(r.Err); err != nil {
+		for i := range rs {
+			err := tolerate(rs[i].Err)
+			rs[i].Release() // recycles the frame's response buffer
+			if err != nil {
 				return err
 			}
 		}

@@ -12,6 +12,14 @@
 //   - TCPTransport: real sockets for multi-process deployments
 //     (cmd/cckvs-node), framing the same packets over TCP connections.
 //
+// Every transport follows one buffer-ownership contract, the one RDMA UD
+// sends impose (§6.3-6.4): Send consumes the packet's Data, Segs and Spans
+// before it returns, so the sender may reuse or release that memory at once;
+// a Handler's packet payload is only lent to it and is valid until the
+// handler returns, so a handler copies anything it keeps. TCP serializes on
+// Send and reuses its read buffer; ChanTransport copies each payload into a
+// pooled delivery buffer that it recycles once the handler returns.
+//
 // Endpoints address (node, thread) pairs — ccKVS deliberately limits which
 // threads talk to which (§6.4, "Reducing Connections") and the Addr type
 // preserves that structure. Every packet carries a message class so network
@@ -46,15 +54,17 @@ func (a Addr) String() string { return fmt.Sprintf("n%d/t%d", a.Node, a.Thread) 
 // Segs is non-nil the wire payload is the in-order concatenation of the
 // segments and Data is ignored; senders use this to gather header metadata
 // and zero-copy value slices (e.g. store leases) without flattening them
-// into one buffer. Every Transport implementation consumes the segments
-// before Send returns — by vectored write (TCP) or by flattening into a
-// fresh buffer (in-process transports) — so the caller may release or reuse
-// the segment memory as soon as Send returns.
+// into one buffer (TCP hands them to the kernel as one vectored write;
+// ChanTransport copies them into its delivery buffer).
 // A packet that coalesces messages of several classes (the consistency
 // plane mixes updates, invalidations and piggybacked acks in one fan-out
 // packet) may carry Spans: per-class message counts and payload bytes for
 // the traffic accountant. Spans are sender-side accounting metadata only —
 // they never travel on the wire and receivers must not rely on them.
+//
+// Ownership (see the package doc): Send consumes Data, Segs and Spans
+// before it returns; a delivered packet's Data is valid only until its
+// Handler returns.
 type Packet struct {
 	Src   Addr
 	Dst   Addr
@@ -87,18 +97,16 @@ func (p *Packet) payloadLen() int {
 	return n
 }
 
-// flatten materializes a vectored payload into one fresh buffer. The result
-// is newly allocated (receiver may retain it); flat packets are returned
-// as-is.
-func (p *Packet) flatten() Packet {
+// appendPayload appends the wire payload (Segs when vectored, Data
+// otherwise) to buf.
+func (p *Packet) appendPayload(buf []byte) []byte {
 	if p.Segs == nil {
-		return *p
+		return append(buf, p.Data...)
 	}
-	buf := make([]byte, 0, p.payloadLen())
 	for _, s := range p.Segs {
 		buf = append(buf, s...)
 	}
-	return Packet{Src: p.Src, Dst: p.Dst, Class: p.Class, Data: buf}
+	return buf
 }
 
 // WireOverhead is the per-packet header cost (transport headers plus the
@@ -112,7 +120,10 @@ const WireOverhead = 32
 // only account for it (see Stats), since host memory makes inlining moot.
 const InlineThreshold = 189
 
-// Handler consumes packets delivered to a registered address.
+// Handler consumes packets delivered to a registered address. The packet's
+// Data is lent: it is valid only until the handler returns (the transport
+// then reuses it, like a re-posted receive buffer), so a handler copies
+// anything it keeps.
 type Handler func(Packet)
 
 // Transport moves packets between addresses.
@@ -122,7 +133,9 @@ type Transport interface {
 	// error back to the sender).
 	Register(addr Addr, h Handler)
 	// Send delivers one packet asynchronously. It may block briefly for
-	// backpressure but must not wait for the handler to run.
+	// backpressure but must not wait for the handler to run. It consumes
+	// p.Data, p.Segs and p.Spans before returning: the caller may reuse or
+	// release all three as soon as Send returns.
 	Send(p Packet) error
 	// Close tears the transport down; subsequent Sends fail.
 	Close() error
@@ -145,7 +158,7 @@ type Stats struct {
 	// Vectored/flattened account how segmented payloads (Packet.Segs) left
 	// the process: VectoredBytes went to the wire by scatter-gather write
 	// (zero copies of the segment memory), FlattenedBytes were copied into
-	// one buffer first (in-process transports, which must break aliasing).
+	// one buffer first (the in-process transport's delivery buffer).
 	// The zero-copy assertions in internal/cluster read these.
 	VectoredBytes  metrics.Counter
 	FlattenedBytes metrics.Counter
@@ -192,15 +205,38 @@ func (s *Stats) account(p Packet) {
 // dispatcher goroutine per registered address. Sends block when a
 // destination queue is full, which stands in for the switch/NIC
 // backpressure of the real fabric.
+//
+// Send copies (or, for Segs, flattens) the payload into a pooled delivery
+// buffer that travels with the queued packet; the dispatcher recycles it
+// once the handler returns. In-process delivery thus has TCP's receive
+// semantics, and under -race (poisonDelivered) a handler that keeps packet
+// memory reads 0xDD instead of a silently recycled buffer.
 type ChanTransport struct {
 	mu     sync.RWMutex
-	queues map[Addr]chan Packet
+	queues map[Addr]chan delivery
 	wg     sync.WaitGroup
 	sends  sync.WaitGroup // in-flight Send calls (see Close)
 	closed bool
 	depth  int
 	stats  *Stats
 }
+
+// delivery is one queued packet plus the pooled buffer backing its Data.
+type delivery struct {
+	p   Packet
+	buf *deliveryBuf
+}
+
+// deliveryBuf is a pooled in-process receive buffer (a pointer type, so
+// recycling it allocates nothing).
+type deliveryBuf struct{ b []byte }
+
+var deliveryPool = sync.Pool{New: func() any { return new(deliveryBuf) }}
+
+// poisonDelivered scribbles 0xDD over each delivery buffer after its handler
+// returns, turning a handler that keeps packet memory into a loud,
+// deterministic failure. On by default in -race builds; tests may force it.
+var poisonDelivered = raceBuild
 
 // NewChanTransport returns an in-process transport whose per-address queues
 // hold depth packets (depth <= 0 selects a default of 1024, roughly the
@@ -209,12 +245,12 @@ func NewChanTransport(depth int, stats *Stats) *ChanTransport {
 	if depth <= 0 {
 		depth = 1024
 	}
-	return &ChanTransport{queues: make(map[Addr]chan Packet), depth: depth, stats: stats}
+	return &ChanTransport{queues: make(map[Addr]chan delivery), depth: depth, stats: stats}
 }
 
 // Register installs h for addr and starts its dispatcher.
 func (t *ChanTransport) Register(addr Addr, h Handler) {
-	q := make(chan Packet, t.depth)
+	q := make(chan delivery, t.depth)
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -230,23 +266,29 @@ func (t *ChanTransport) Register(addr Addr, h Handler) {
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		for p := range q {
+		for d := range q {
 			if t.stats != nil {
 				t.stats.RecvsTotal.Add(1)
 			}
-			h(p)
+			h(d.p)
+			if poisonDelivered {
+				for i := range d.buf.b {
+					d.buf.b[i] = 0xDD
+				}
+			}
+			deliveryPool.Put(d.buf)
 		}
 	}()
 }
 
-// Send enqueues p for its destination. Unknown destinations drop the packet
-// (datagram semantics). The sender registers itself in t.sends before
-// releasing the lock, so Close can wait for every in-flight (possibly
-// blocked-on-backpressure) send to land before it closes the queues — a
-// send on a closed channel is therefore impossible, and because Close only
-// *marks* the transport closed before waiting, nested Sends issued by
-// dispatcher handlers fail fast with ErrClosed instead of deadlocking the
-// drain.
+// Send copies p's payload into a delivery buffer and enqueues it for its
+// destination. Unknown destinations drop the packet (datagram semantics).
+// The sender registers itself in t.sends before releasing the lock, so
+// Close can wait for every in-flight (possibly blocked-on-backpressure)
+// send to land before it closes the queues — a send on a closed channel is
+// therefore impossible, and because Close only *marks* the transport closed
+// before waiting, nested Sends issued by dispatcher handlers fail fast with
+// ErrClosed instead of deadlocking the drain.
 func (t *ChanTransport) Send(p Packet) error {
 	t.mu.RLock()
 	if t.closed {
@@ -259,29 +301,21 @@ func (t *ChanTransport) Send(p Packet) error {
 	t.mu.RUnlock()
 	defer t.sends.Done()
 	if !ok {
-		return nil // dropped; segment memory is trivially unreferenced
+		return nil // dropped
 	}
-	// Spans are sender-side accounting metadata (consumed by account above);
-	// in-process delivery retains the packet by reference, so strip them
-	// rather than let the receiver alias a buffer the sender may reuse.
-	p.Spans = nil
-	if p.Segs != nil {
-		// In-process delivery passes the payload by reference and the
-		// receiver may retain it, so a vectored payload must be broken from
-		// its segment aliases here — the Segs contract says the caller may
-		// reuse/release segment memory the moment Send returns.
-		if t.stats != nil {
-			t.stats.FlattenedBytes.Add(uint64(p.payloadLen()))
-		}
-		p = p.flatten()
+	if p.Segs != nil && t.stats != nil {
+		t.stats.FlattenedBytes.Add(uint64(p.payloadLen()))
 	}
+	buf := deliveryPool.Get().(*deliveryBuf)
+	buf.b = p.appendPayload(buf.b[:0])
+	d := delivery{p: Packet{Src: p.Src, Dst: p.Dst, Class: p.Class, Data: buf.b}, buf: buf}
 	select {
-	case q <- p:
+	case q <- d:
 	default:
 		if t.stats != nil {
 			t.stats.SendBlocked.Add(1)
 		}
-		q <- p // block until space frees up; dispatchers keep draining
+		q <- d // block until space frees up; dispatchers keep draining
 	}
 	return nil
 }

@@ -22,7 +22,10 @@ func TestChanTransportDelivery(t *testing.T) {
 
 	got := make(chan Packet, 1)
 	dst := Addr{Node: 1, Thread: 0}
-	tr.Register(dst, func(p Packet) { got <- p })
+	tr.Register(dst, func(p Packet) {
+		p.Data = append([]byte(nil), p.Data...) // the payload is only lent
+		got <- p
+	})
 
 	want := Packet{Src: Addr{Node: 0}, Dst: dst, Class: metrics.ClassCacheMiss, Data: []byte("hi")}
 	if err := tr.Send(want); err != nil {
@@ -41,10 +44,10 @@ func TestChanTransportDelivery(t *testing.T) {
 	}
 }
 
-// An in-process transport passes payloads by reference, so it must break a
-// vectored payload's aliases at Send time (the sender releases segment
-// memory the moment Send returns) — counted as FlattenedBytes, the copy the
-// TCP path proves it never makes.
+// The in-process transport consumes a vectored payload at Send time (the
+// sender releases segment memory the moment Send returns) by flattening it
+// into the delivery buffer — counted as FlattenedBytes, the copy the TCP
+// path proves it never makes.
 func TestChanTransportFlattensVectoredPayloads(t *testing.T) {
 	stats := NewStats()
 	tr := NewChanTransport(8, stats)
@@ -52,7 +55,10 @@ func TestChanTransportFlattensVectoredPayloads(t *testing.T) {
 
 	got := make(chan Packet, 1)
 	dst := Addr{Node: 1, Thread: 0}
-	tr.Register(dst, func(p Packet) { got <- p })
+	tr.Register(dst, func(p Packet) {
+		p.Data = append([]byte(nil), p.Data...) // the payload is only lent
+		got <- p
+	})
 
 	segs := [][]byte{[]byte("abc"), []byte("def")}
 	if err := tr.Send(Packet{Src: Addr{Node: 0}, Dst: dst, Segs: segs}); err != nil {
@@ -76,6 +82,70 @@ func TestChanTransportFlattensVectoredPayloads(t *testing.T) {
 	}
 	if f := stats.FlattenedBytes.Load(); f != 6 {
 		t.Fatalf("FlattenedBytes = %d, want 6", f)
+	}
+}
+
+// A flat payload is copied at Send too: the sender may reuse its buffer the
+// moment Send returns, exactly as over TCP.
+func TestChanTransportSendConsumesData(t *testing.T) {
+	tr := NewChanTransport(8, NewStats())
+	defer tr.Close()
+
+	release := make(chan struct{})
+	got := make(chan string, 1)
+	dst := Addr{Node: 1}
+	tr.Register(dst, func(p Packet) {
+		<-release // hold delivery until the sender scribbled its buffer
+		got <- string(p.Data)
+	})
+	buf := []byte("payload")
+	if err := tr.Send(Packet{Dst: dst, Data: buf}); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXXXXX")
+	close(release)
+	select {
+	case s := <-got:
+		if s != "payload" {
+			t.Fatalf("delivered %q, want %q (Send kept the sender's buffer)", s, "payload")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("packet not delivered")
+	}
+}
+
+// The receive half of the contract is enforced under -race: once a handler
+// returns, its delivery buffer is poisoned, so a handler that kept p.Data
+// reads 0xDD instead of a silently recycled buffer.
+func TestChanTransportPoisonsDeliveredBuffer(t *testing.T) {
+	old := poisonDelivered
+	poisonDelivered = true
+	defer func() { poisonDelivered = old }()
+
+	tr := NewChanTransport(8, NewStats())
+	var kept []byte
+	delivered := make(chan struct{})
+	dst := Addr{Node: 1}
+	tr.Register(dst, func(p Packet) {
+		kept = p.Data // the bug under test: keeping lent memory
+		close(delivered)
+	})
+	if err := tr.Send(Packet{Dst: dst, Data: []byte("lent")}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("packet not delivered")
+	}
+	tr.Close() // waits for the dispatcher, so the poison has landed
+	if len(kept) != 4 {
+		t.Fatalf("kept %d bytes, want 4", len(kept))
+	}
+	for i, b := range kept {
+		if b != 0xDD {
+			t.Fatalf("kept byte %d = %#x after the handler returned, want poison 0xDD", i, b)
+		}
 	}
 }
 

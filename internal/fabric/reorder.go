@@ -54,10 +54,13 @@ func (t *ReorderTransport) Register(addr Addr, h Handler) { t.inner.Register(add
 
 // Send buffers p; a random previously-held packet may be released instead.
 func (t *ReorderTransport) Send(p Packet) error {
-	// A held packet outlives this call, so a vectored payload must be
-	// materialized now — the Packet.Segs contract lets the caller release
-	// the segment memory the moment Send returns.
-	p = p.flatten()
+	// A held packet outlives this call, and the caller may reuse Data, Segs
+	// and Spans the moment Send returns: detach all three now.
+	p = Packet{
+		Src: p.Src, Dst: p.Dst, Class: p.Class,
+		Data:  p.appendPayload(make([]byte, 0, p.payloadLen())),
+		Spans: append([]ClassSpan(nil), p.Spans...),
+	}
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()

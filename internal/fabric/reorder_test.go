@@ -101,6 +101,70 @@ func TestReorderFlusherDrainsQuietBuffer(t *testing.T) {
 	}
 }
 
+// A held packet outlives Send, so Reorder must detach Data, Segs and Spans:
+// a sender that reuses its payload buffer and span slice right after Send
+// (the consistency plane does) must not change what is delivered or what
+// the accountant charges when the packet is finally released.
+func TestReorderDetachesHeldPackets(t *testing.T) {
+	stats := NewStats()
+	inner := NewChanTransport(64, stats)
+	tr := NewReorder(inner, 8, 5)
+
+	var mu sync.Mutex
+	var got []string
+	dst := Addr{Node: 5}
+	tr.Register(dst, func(p Packet) {
+		mu.Lock()
+		got = append(got, string(p.Data))
+		mu.Unlock()
+	})
+	data := []byte("flat-payload")
+	spans := []ClassSpan{{Class: metrics.ClassUpdate, Msgs: 2, Bytes: 7}, {Class: metrics.ClassAck, Msgs: 1, Bytes: 5}}
+	if err := tr.Send(Packet{Dst: dst, Class: metrics.ClassUpdate, Data: data, Spans: spans}); err != nil {
+		t.Fatal(err)
+	}
+	segs := [][]byte{[]byte("seg-"), []byte("payload")}
+	if err := tr.Send(Packet{Dst: dst, Class: metrics.ClassInvalidate, Segs: segs}); err != nil {
+		t.Fatal(err)
+	}
+	// Scribble everything the sender lent.
+	copy(data, "XXXXXXXXXXXX")
+	spans[0] = ClassSpan{Class: metrics.ClassCacheMiss, Msgs: 99, Bytes: 999}
+	spans[1] = ClassSpan{Class: metrics.ClassCacheMiss, Msgs: 99, Bytes: 999}
+	for _, s := range segs {
+		for i := range s {
+			s[i] = 'Y'
+		}
+	}
+	if err := tr.Close(); err != nil { // flushes the held packets, drains inner
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2 {
+		t.Fatalf("delivered %d packets, want 2", len(got))
+	}
+	want := map[string]bool{"flat-payload": true, "seg-payload": true}
+	for _, s := range got {
+		if !want[s] {
+			t.Fatalf("delivered %q, want one of flat-payload/seg-payload (held packet aliased the sender)", s)
+		}
+		delete(want, s)
+	}
+	if b, m := stats.Traffic.Bytes(metrics.ClassUpdate), stats.Traffic.Packets(metrics.ClassUpdate); b != 7+WireOverhead || m != 2 {
+		t.Fatalf("update traffic = %d bytes/%d msgs, want %d/2", b, m, 7+WireOverhead)
+	}
+	if b := stats.Traffic.Bytes(metrics.ClassAck); b != 5 {
+		t.Fatalf("ack bytes = %d, want 5", b)
+	}
+	if b := stats.Traffic.Bytes(metrics.ClassCacheMiss); b != 0 {
+		t.Fatalf("cache-miss bytes = %d, want 0 (scribbled spans were accounted)", b)
+	}
+	if b := stats.Traffic.Bytes(metrics.ClassInvalidate); b != uint64(len("seg-payload"))+WireOverhead {
+		t.Fatalf("invalidation bytes = %d, want %d", b, len("seg-payload")+WireOverhead)
+	}
+}
+
 func TestReorderCloseFlushesAndRejects(t *testing.T) {
 	inner := NewChanTransport(64, NewStats())
 	tr := NewReorder(inner, 8, 9)

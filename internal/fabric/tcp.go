@@ -65,15 +65,6 @@ var vecPool = sync.Pool{New: func() any { return new(vecBuf) }}
 
 type vecBuf struct{ v net.Buffers }
 
-// SendCopiesData reports that Send serializes the packet into a private
-// frame (or, for vectored payloads, hands every segment to the kernel)
-// before returning: callers may reuse p.Data and p.Segs memory — e.g.
-// release store leases — as soon as Send returns.
-// Handlers get the mirror guarantee's *absence* — inbound frame buffers are
-// reused by the read loop, so a Handler must copy anything it retains past
-// its return (every in-tree handler either copies or finishes synchronously).
-func (t *TCPTransport) SendCopiesData() bool { return true }
-
 // NewTCPTransport starts a transport for node self listening on listenAddr
 // (e.g. ":7000" or "127.0.0.1:0" for an ephemeral test port).
 func NewTCPTransport(self uint8, listenAddr string, stats *Stats) (*TCPTransport, error) {
@@ -291,7 +282,7 @@ func (t *TCPTransport) Send(p Packet) error {
 // as a scatter list, so value memory — store leases on the get path — is
 // handed to the kernel without ever being copied in user space. The
 // segments are fully consumed before return (net.Buffers.WriteTo drains the
-// list), honoring the Packet.Segs contract.
+// list), as the Transport contract requires.
 func (t *TCPTransport) sendVectored(conn *tcpConn, p Packet) error {
 	n := 0
 	for _, s := range p.Segs {
